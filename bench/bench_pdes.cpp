@@ -1,23 +1,17 @@
 // Intra-run PDES bench: the byte-identity gate and the scaling story for
 // the partitioned executive (sim/pdes.h, docs/pdes.md).
 //
-// Three probes, all in one process:
+// Two probes, both in one process:
 //   1. pdes_reports_match — a sweep over the bench scenario run on the
 //      serial oracle and again at 2 and 4 partitions (2 worker threads);
 //      1.0 iff all three SweepReport JSONs are byte-identical. This is the
 //      contract the executive ships under and is CI-gated as a fixed
 //      minimum of 1.0.
 //   2. pdes_speedup — wall-clock serial / wall-clock 4-partition for the
-//      same single run. Informational only: the CI container is
-//      effectively single-core, so the honest expectation there is ~1x or
-//      below (windows + barriers are pure overhead without parallelism).
-//   3. dispatch_speedup — the EventQueue dispatch micro-row (the
-//      move-on-pop fix): a replica of the event heap with the real queue's
-//      key width dispatches N events twice — once with the pre-fix
-//      copy-out-of-the-heap dispatch, once with the current
-//      pop_heap-then-move dispatch. Same heap, same payload, the only
-//      variable is the copy. Informational; it documents that dispatch got
-//      cheaper, machine-independently (both sides timed in-process).
+//      same single run. Informational only: on a runner with fewer cores
+//      than worker threads the honest expectation is ~1x or below (windows
+//      + barriers are pure overhead without parallelism), so the row
+//      prints the host's core count beside it.
 //
 // The 4-partition run also reports stall attribution from the metrics
 // subsystem: per-partition executed events, mailbox traffic, busy time and
@@ -25,25 +19,21 @@
 // machine, not the simulation.
 //
 // Knobs: CMAP_BENCH_SCENARIO (default flows_50), CMAP_BENCH_SECONDS /
-// CMAP_BENCH_SEED as usual, CMAP_BENCH_EVENTS (default 300000) for the
-// dispatch micro-row. Runtimes stay deliberately under the regression
+// CMAP_BENCH_SEED as usual. Runtimes stay deliberately under the regression
 // gate's 1000 ms floor so the _ms rows ride as info, not as flaky gates.
 #include <algorithm>
 #include <chrono>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
-#include <functional>
-#include <memory>
 #include <string>
-#include <tuple>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "bench_main.h"
 #include "scenario/registry.h"
 #include "scenario/sweep.h"
-#include "sim/event_queue.h"
 #include "stats/report.h"
 #include "testbed/testbed.h"
 
@@ -51,6 +41,9 @@ using namespace cmap;
 using namespace cmap::bench;
 
 namespace {
+
+// Worker threads of both partitioned runs.
+constexpr int kWorkerThreads = 2;
 
 double wall_ms_now() {
   return std::chrono::duration<double, std::milli>(
@@ -89,64 +82,6 @@ stats::SweepReport run_sweep(const scenario::Scenario& s, const Scale& scale,
   return report;
 }
 
-// ---- Dispatch micro-row ----
-// The payload every dispatched callable carries: a shared_ptr (control
-// block) plus enough captured bytes to spill std::function's small-buffer
-// optimization — the shape of a real delivery closure, and exactly what
-// the pre-fix dispatch deep-copied (heap allocation + refcount bump) on
-// every single event.
-struct Payload {
-  std::shared_ptr<int> token;
-  std::uint64_t a, b, c, d;
-  std::uint64_t* sink;
-  void operator()() const { *sink += a ^ *token; }
-};
-
-// Replica of the event heap at the real queue's key width (time, rank
-// class, two rank operands, sequence) so heap sift costs match production.
-struct Entry {
-  sim::Time at;
-  std::uint8_t cls;
-  std::uint64_t a, b;
-  std::uint64_t seq;
-  std::function<void()> fn;
-  bool operator<(const Entry& o) const {  // max-heap order: later first
-    return std::tie(o.at, o.cls, o.a, o.b, o.seq) <
-           std::tie(at, cls, a, b, seq);
-  }
-};
-
-// Dispatches `events` through the replica heap. copy_style replays the
-// pre-fix run_one (`Event e = heap.front(); pop_heap; pop_back;`); the
-// alternative is the current one (`pop_heap; Event e = move(heap.back());
-// pop_back;`). Same heap, same payloads — the only variable is the copy.
-double time_dispatch(long events, bool copy_style, std::uint64_t* sink) {
-  std::vector<Entry> heap;
-  heap.reserve(static_cast<std::size_t>(events));
-  auto token = std::make_shared<int>(7);
-  for (long i = 0; i < events; ++i) {
-    heap.push_back(Entry{i, 2, 0, 0, static_cast<std::uint64_t>(i),
-                         Payload{token, static_cast<std::uint64_t>(i), 2, 3,
-                                 4, sink}});
-    std::push_heap(heap.begin(), heap.end());
-  }
-  const double t0 = cpu_ms_now();
-  while (!heap.empty()) {
-    if (copy_style) {
-      Entry e = heap.front();  // the copy the fix removed
-      std::pop_heap(heap.begin(), heap.end());
-      heap.pop_back();
-      e.fn();
-    } else {
-      std::pop_heap(heap.begin(), heap.end());
-      Entry e = std::move(heap.back());
-      heap.pop_back();
-      e.fn();
-    }
-  }
-  return cpu_ms_now() - t0;
-}
-
 }  // namespace
 
 int main() {
@@ -158,7 +93,6 @@ int main() {
   }
   const char* scen_env = std::getenv("CMAP_BENCH_SCENARIO");
   const std::string scenario_name = scen_env != nullptr ? scen_env : "flows_50";
-  const long events = env_long("CMAP_BENCH_EVENTS", 300000);
   const scenario::Scenario& scen =
       scenario::ScenarioRegistry::global().at(scenario_name);
 
@@ -171,28 +105,39 @@ int main() {
   double serial_ms = 0.0, p2_ms = 0.0, p4_ms = 0.0;
   const stats::SweepReport serial_report =
       run_sweep(scen, s, 1, 1, &serial_ms);
-  const stats::SweepReport p2_report = run_sweep(scen, s, 2, 2, &p2_ms);
-  const stats::SweepReport p4_report = run_sweep(scen, s, 4, 2, &p4_ms);
+  const stats::SweepReport p2_report =
+      run_sweep(scen, s, 2, kWorkerThreads, &p2_ms);
+  const stats::SweepReport p4_report =
+      run_sweep(scen, s, 4, kWorkerThreads, &p4_ms);
   const std::string serial = serial_report.to_json();
   const std::string p2 = p2_report.to_json();
   const std::string p4 = p4_report.to_json();
   const bool match = serial == p2 && serial == p4;
   const double speedup = serial_ms / std::max(p4_ms, 1e-3);
 
-  std::printf("serial oracle:         %8.1f wall-ms\n", serial_ms);
-  std::printf("2 partitions:          %8.1f wall-ms\n", p2_ms);
-  std::printf("4 partitions:          %8.1f wall-ms\n", p4_ms);
-  std::printf("speedup (4p):          %8.2fx (wall; info-only on 1 core)\n",
-              speedup);
-  std::printf("reports identical:     %s\n", match ? "yes" : "NO — BUG");
+  const metrics::MetricsSnapshot* p4_snap =
+      !p4_report.rows().empty() && p4_report.rows().front().profile
+          ? &*p4_report.rows().front().profile
+          : nullptr;
+  // The worker count the 4-partition run records in its own metrics.
+  const int p4_threads = p4_snap != nullptr ? p4_snap->threads : 0;
+  std::printf("serial oracle:              %8.1f wall-ms\n", serial_ms);
+  std::printf("2 partitions, %d threads:    %8.1f wall-ms\n", kWorkerThreads,
+              p2_ms);
+  std::printf("4 partitions, %d threads:    %8.1f wall-ms\n", p4_threads,
+              p4_ms);
+  std::printf("speedup (4p):               %8.2fx (wall; info-only, %u cores "
+              "online)\n",
+              speedup, std::thread::hardware_concurrency());
+  std::printf("reports identical:          %s\n", match ? "yes" : "NO — BUG");
 
   // Stall attribution for the 4-partition run: who executed what, and who
   // spent the parallel phase waiting. busy/barrier-wait need wall-clock and
   // so ride as INFO only (new keys inside the existing pdes_bench row are
   // ignored by the regression gate's baseline-driven iteration).
   std::vector<std::pair<std::string, double>> partition_info;
-  if (!p4_report.rows().empty() && p4_report.rows().front().profile) {
-    const metrics::MetricsSnapshot& snap = *p4_report.rows().front().profile;
+  if (p4_snap != nullptr) {
+    const metrics::MetricsSnapshot& snap = *p4_snap;
     std::printf("4p stall attribution:  %" PRIu64 " rounds, %" PRIu64
                 " global barriers, %" PRIu64 " merged windows\n",
                 snap.rounds, snap.global_barriers, snap.merged_windows);
@@ -214,33 +159,19 @@ int main() {
     }
   }
 
-  std::uint64_t sink = 0;
-  time_dispatch(events, false, &sink);  // warm the allocator once
-  const double copy_ms = time_dispatch(events, true, &sink);
-  const double move_ms = time_dispatch(events, false, &sink);
-  const double dispatch_speedup =
-      copy_ms / std::max(move_ms, 1000.0 / CLOCKS_PER_SEC);
-  std::printf("dispatch: %ld events, copy-style %8.1f CPU-ms, "
-              "move-on-pop %8.1f CPU-ms -> %.2fx  [sink %llu]\n",
-              events, copy_ms, move_ms, dispatch_speedup,
-              static_cast<unsigned long long>(sink));
-
   stats::SweepReport report;
   stats::RunRow timing;
   timing.scenario = "pdes_bench";
   timing.scheme = "timing";
   timing.topology = "cpu-time";
-  // pdes_reports_match is the fixed ==1.0 gate; the wall/cpu timings and
-  // both speedups ride as info (the CI container has one core, and the
-  // runtimes sit under the gate's 1000 ms floor by construction).
-  timing.metrics = {{"events", static_cast<double>(events)},
-                    {"pdes_serial_wall_ms", serial_ms},
+  // pdes_reports_match is the fixed ==1.0 gate; the wall timings and the
+  // speedup ride as info (wall-clock parallel speedup depends on the
+  // runner's cores, and the runtimes sit under the gate's 1000 ms floor by
+  // construction).
+  timing.metrics = {{"pdes_serial_wall_ms", serial_ms},
                     {"pdes_p4_wall_ms", p4_ms},
                     {"pdes_speedup", speedup},
                     {"pdes_reports_match", match ? 1.0 : 0.0},
-                    {"dispatch_copy_cpu_ms", copy_ms},
-                    {"dispatch_move_cpu_ms", move_ms},
-                    {"dispatch_speedup", dispatch_speedup},
                     {"calibration_ms", calibration_ms()}};
   for (auto& kv : partition_info) timing.metrics.push_back(std::move(kv));
   report.add_row(std::move(timing));

@@ -12,6 +12,8 @@ constexpr std::size_t kMinCompactSize = 16;
 }  // namespace
 
 void InterferenceTracker::add(Signal signal) {
+  longest_airtime_ = std::max(longest_airtime_, signal.end - signal.start);
+  active_.push_back({signal.start, signal.end, signal.power_mw});
   signals_.push_back(std::move(signal));
 }
 
@@ -26,9 +28,26 @@ void InterferenceTracker::prune(sim::Time horizon) {
   compact_at_ = 2 * signals_.size();
 }
 
+CarrierPower InterferenceTracker::carrier_power(sim::Time now) {
+  CarrierPower out;
+  std::size_t kept = 0;
+  for (const Active& a : active_) {
+    if (a.end <= now) continue;
+    active_[kept++] = a;
+    if (a.start <= now) {
+      out.max_mw = std::max(out.max_mw, a.power_mw);
+      out.total_mw += a.power_mw;
+    }
+  }
+  active_.resize(kept);
+  return out;
+}
+
 const Signal* InterferenceTracker::find(std::uint64_t frame_id) const {
-  for (const auto& s : signals_) {
-    if (s.frame && s.frame->id == frame_id) return &s;
+  // Frame ids are unique per receiver; the newest signals are the likeliest
+  // targets, so scan from the back.
+  for (auto it = signals_.rbegin(); it != signals_.rend(); ++it) {
+    if (it->frame && it->frame->id == frame_id) return &*it;
   }
   return nullptr;
 }
@@ -41,6 +60,10 @@ ChunkOutcome InterferenceTracker::evaluate(std::uint64_t target_frame_id,
   ChunkOutcome out;
   const Signal* target = find(target_frame_id);
   CMAP_ASSERT(target != nullptr, "evaluating unknown frame");
+  // expire() relies on this: a window outside its target could reach back
+  // past the airtime bound into signals already dropped.
+  CMAP_ASSERT(begin >= target->start && end <= target->end,
+              "evaluation window outside its target signal");
   if (end <= begin) return out;
 
   // One +power/-power edge per overlapping foreign signal boundary, clipped
@@ -95,22 +118,6 @@ double InterferenceTracker::min_sinr(std::uint64_t target_frame_id,
   return evaluate(target_frame_id, begin, end, 0.0, WifiRate::k6Mbps, dummy,
                   1.0)
       .min_sinr;
-}
-
-double InterferenceTracker::total_power_mw(sim::Time t) const {
-  double total = 0.0;
-  for (const auto& s : signals_) {
-    if (s.start <= t && s.end > t) total += s.power_mw;
-  }
-  return total;
-}
-
-double InterferenceTracker::max_power_mw(sim::Time t) const {
-  double best = 0.0;
-  for (const auto& s : signals_) {
-    if (s.start <= t && s.end > t) best = std::max(best, s.power_mw);
-  }
-  return best;
 }
 
 ChunkOutcome evaluate_reference(const InterferenceTracker& tracker,

@@ -8,6 +8,16 @@
 // S) in the number of tracked signals instead of the O(sub-intervals x S)
 // rescan of the original implementation (kept as evaluate_reference() for
 // validation and benchmarking).
+//
+// Two views of the same signals keep every per-event cost proportional to
+// what is on the air rather than to how much has been heard:
+//   - the history (signals()) holds every signal that can still overlap an
+//     evaluation window. Every window lies inside the signal it evaluates,
+//     so expire(now) drops whatever ended before now minus the longest
+//     airtime the tracker has seen, a few milliseconds;
+//   - the active set holds the signals on the air now, in insertion order.
+//     carrier_power() takes one pass over it for carrier sense and trims
+//     the signals that have ended.
 #pragma once
 
 #include <cstdint>
@@ -35,11 +45,18 @@ struct ChunkOutcome {
   double min_sinr = 1e30;  // linear; worst sub-interval SINR
 };
 
+/// Power on the air at one instant, as carrier sense reads it.
+struct CarrierPower {
+  double max_mw = 0.0;    // strongest single signal, or 0
+  double total_mw = 0.0;  // sum over every signal, in insertion order
+};
+
 class InterferenceTracker {
  public:
   explicit InterferenceTracker(double noise_floor_mw)
       : noise_mw_(noise_floor_mw) {}
 
+  /// Track `signal` in the history and the active set.
   void add(Signal signal);
 
   /// Drop signals that ended before `horizon` (they can no longer overlap
@@ -51,10 +68,27 @@ class InterferenceTracker {
   /// results are unaffected.
   void prune(sim::Time horizon);
 
+  /// prune() at the tracker's own airtime bound: now minus the longest
+  /// signal ever added. evaluate() windows lie inside their target signal
+  /// (asserted there), and a target evaluated at or after `now` started no
+  /// earlier than that bound, so nothing expire() drops can overlap one.
+  void expire(sim::Time now) { prune(now - longest_airtime_); }
+
+  /// Strongest and summed power of the signals on the air at `now` (start
+  /// <= now < end), from one pass over the active set. Signals that ended
+  /// by `now` leave the active set, so successive calls must not go back
+  /// in time. The sum adds the same doubles in the same order as a scan of
+  /// signals() would, which keeps threshold comparisons bit-exact.
+  CarrierPower carrier_power(sim::Time now);
+
+  /// The tracked signal carrying frame `frame_id`, or null.
+  const Signal* find(std::uint64_t frame_id) const;
+
   /// Success probability and worst SINR for decoding `bits` of frame
   /// `target_frame_id` over the window [begin, end) at `rate`, given all
   /// other tracked signals and the noise floor. `sinr_scale` divides the
-  /// SINR before the error model (implementation loss).
+  /// SINR before the error model (implementation loss). The window must
+  /// lie inside the target signal.
   ChunkOutcome evaluate(std::uint64_t target_frame_id, sim::Time begin,
                         sim::Time end, double bits, WifiRate rate,
                         const ErrorModel& model, double sinr_scale) const;
@@ -63,22 +97,22 @@ class InterferenceTracker {
   double min_sinr(std::uint64_t target_frame_id, sim::Time begin,
                   sim::Time end) const;
 
-  /// Sum of powers of signals active at time `t` (mW), excluding none.
-  double total_power_mw(sim::Time t) const;
-
-  /// Highest single-signal power active at time `t` (mW), or 0.
-  double max_power_mw(sim::Time t) const;
-
   const std::vector<Signal>& signals() const { return signals_; }
   double noise_mw() const { return noise_mw_; }
 
  private:
-  const Signal* find(std::uint64_t frame_id) const;
-
   std::vector<Signal> signals_;
   double noise_mw_;
   sim::Time prune_horizon_ = 0;
   std::size_t compact_at_ = 0;
+  sim::Time longest_airtime_ = 0;
+  // The active set: signals not yet seen to have ended, in insertion order.
+  struct Active {
+    sim::Time start;
+    sim::Time end;
+    double power_mw;
+  };
+  std::vector<Active> active_;
   // Sweep-edge scratch, reused across evaluate() calls to avoid a per-call
   // allocation. A tracker belongs to one radio in one (single-threaded)
   // simulation, so the mutable buffer is never contended.

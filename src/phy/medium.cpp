@@ -393,19 +393,23 @@ void Medium::deliver_one(Radio& target, const Link& link,
   sig.power_mw = dbm_to_mw(power_dbm);
   sig.start = now + (config_.enable_propagation_delay ? link.delay : 0);
   sig.end = sig.start + frame->duration;
-  Radio* r = &target;
+  const sim::Time start = sig.start;
+  // The event runs once, so it hands its signal over rather than copying.
+  auto arrive = [r = &target, sig = std::move(sig)]() mutable {
+    r->deliver(std::move(sig));
+  };
   // Ranked on (frame id, receiver id) — both intrinsic to the delivery —
   // so same-tick arrivals order identically whether this run is serial or
   // partitioned, and whichever route (direct or mailbox) a PDES delivery
   // takes.
   if (engine_ == nullptr) {
-    sim_.at_ranked(sig.start, sim::delivery_rank(frame->id, target.id()),
-                   [r, sig] { r->deliver(sig); });
+    sim_.at_ranked(start, sim::delivery_rank(frame->id, target.id()),
+                   std::move(arrive));
     return;
   }
   engine_->schedule_delivery(partition_of(frame->tx_node),
-                             partition_of(target.id()), sig.start, frame->id,
-                             target.id(), [r, sig] { r->deliver(sig); });
+                             partition_of(target.id()), start, frame->id,
+                             target.id(), std::move(arrive));
 }
 
 void Medium::transmit(Radio& source, std::shared_ptr<const Frame> frame) {

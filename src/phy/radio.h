@@ -109,8 +109,9 @@ class Radio {
 
   /// Carrier-sense: busy when transmitting, locked onto a frame, any single
   /// signal exceeds the preamble-CS threshold, or total energy exceeds the
-  /// energy-detect threshold.
-  bool carrier_busy() const;
+  /// energy-detect threshold. Not const: the read trims the tracker's
+  /// active set of signals that have ended.
+  bool carrier_busy();
 
   NodeId id() const { return id_; }
   /// The medium this radio is attached to (MACs bind their TraceHooks
@@ -143,7 +144,6 @@ class Radio {
   void finish_tx();
   void update_cca();
   void maybe_salvage(const Signal& sig);
-  const Signal* find_signal(std::uint64_t frame_id) const;
 
   // Payload window [begin, end) of segment `index` of `sig`'s frame,
   // mapping payload bits proportionally onto the post-preamble airtime.

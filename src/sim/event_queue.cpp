@@ -16,19 +16,38 @@ EventId EventQueue::schedule_ranked(Time at, EventRank rank,
                                     std::function<void()> fn) {
   CMAP_ASSERT(at >= current_time_, "event scheduled into the past");
   maybe_compact();
+  auto slot = static_cast<std::uint32_t>(slots_.size());
+  if (free_slots_.empty()) {
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  Slot& s = slots_[slot];
+  s.fn = std::move(fn);
+  s.cancelled = false;
   Entry e;
   e.at = at;
-  e.rank = rank;
+  e.cls = rank.cls;
+  e.a = rank.a;
+  e.b = rank.b;
   e.seq = seq_source_ != nullptr
               ? seq_source_->fetch_add(1, std::memory_order_relaxed)
               : next_seq_++;
-  e.fn = std::move(fn);
-  e.cancelled = std::make_shared<bool>(false);
-  EventId id(e.cancelled);
-  heap_.push_back(std::move(e));
+  e.slot = slot;
+  heap_.push_back(e);
   std::push_heap(heap_.begin(), heap_.end(), Later{});
   if (heap_.size() > depth_high_water_) depth_high_water_ = heap_.size();
-  return id;
+  return EventId(this, slot, s.generation);
+}
+
+std::function<void()> EventQueue::release(std::uint32_t slot) {
+  Slot& s = slots_[slot];
+  std::function<void()> fn = std::move(s.fn);
+  s.fn = nullptr;
+  ++s.generation;  // every id of the old event goes stale
+  free_slots_.push_back(slot);
+  return fn;
 }
 
 void EventQueue::maybe_compact() {
@@ -38,11 +57,19 @@ void EventQueue::maybe_compact() {
   // re-heapifies, which is safe because the comparator is a total order:
   // the pop sequence never depends on the heap's internal layout.
   if (heap_.size() < std::max(compact_watermark_ * 2, kCompactFloor)) return;
-  const auto dead = static_cast<std::size_t>(
-      std::count_if(heap_.begin(), heap_.end(),
-                    [](const Entry& e) { return *e.cancelled; }));
+  const auto dead = static_cast<std::size_t>(std::count_if(
+      heap_.begin(), heap_.end(),
+      [this](const Entry& e) { return cancelled(e); }));
   if (dead * 2 >= heap_.size()) {
-    std::erase_if(heap_, [](const Entry& e) { return *e.cancelled; });
+    std::size_t kept = 0;
+    for (const Entry& e : heap_) {
+      if (cancelled(e)) {
+        release(e.slot);
+      } else {
+        heap_[kept++] = e;
+      }
+    }
+    heap_.resize(kept);
     std::make_heap(heap_.begin(), heap_.end(), Later{});
     ++compactions_;
   }
@@ -50,7 +77,8 @@ void EventQueue::maybe_compact() {
 }
 
 void EventQueue::drop_cancelled_head() {
-  while (!heap_.empty() && *heap_.front().cancelled) {
+  while (!heap_.empty() && cancelled(heap_.front())) {
+    release(heap_.front().slot);
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
     heap_.pop_back();
   }
@@ -59,17 +87,16 @@ void EventQueue::drop_cancelled_head() {
 bool EventQueue::run_one() {
   drop_cancelled_head();
   if (heap_.empty()) return false;
-  // pop_heap moves the root to the back, and moving out of back() is a
-  // real move — the std::function and control block are not deep-copied
-  // per dispatch (priority_queue::top() only hands out a const ref, which
-  // forced a copy here before).
   std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  Entry e = std::move(heap_.back());
+  const Entry e = heap_.back();
   heap_.pop_back();
   current_time_ = e.at;
-  *e.cancelled = true;  // mark as executed so EventId::pending() flips
   ++executed_;
-  e.fn();
+  // Move the callable out before running it: the event may schedule more
+  // events, which can reuse this slot or grow the slot array. Releasing
+  // first also flips EventId::pending() for the running event.
+  const std::function<void()> fn = release(e.slot);
+  fn();
   return true;
 }
 
@@ -81,7 +108,8 @@ Time EventQueue::next_time() {
 EventKey EventQueue::next_key() {
   drop_cancelled_head();
   if (heap_.empty()) return EventKey{kTimeForever, EventRank{}, 0};
-  return EventKey{heap_.front().at, heap_.front().rank, heap_.front().seq};
+  const Entry& e = heap_.front();
+  return EventKey{e.at, EventRank{e.cls, e.a, e.b}, e.seq};
 }
 
 bool EventQueue::empty() {

@@ -1,16 +1,19 @@
 // A binary-heap event queue with O(log n) insertion and lazily cancelled
-// events. Same-instant ordering is defined by an explicit EventRank rather
-// than raw insertion order, so the serial executive and the partitioned
-// (PDES) executive sort identical keys and produce identical execution
-// orders — the root of the byte-identity contract (docs/pdes.md). Within
-// one rank, events still execute in insertion order (FIFO), which keeps
-// protocol state machines deterministic.
+// events. The heap sifts small trivially-copyable keys; each key names a
+// slot in a pooled array that holds the event's callable and cancel state,
+// and freed slots are reused, so no sift moves a std::function and no
+// event allocates its own cancel flag. Same-instant ordering is defined by
+// an explicit EventRank rather than raw insertion order, so the serial
+// executive and the partitioned (PDES) executive sort identical keys and
+// produce identical execution orders — the root of the byte-identity
+// contract (docs/pdes.md). Within one rank, events still execute in
+// insertion order (FIFO), which keeps protocol state machines
+// deterministic.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "sim/time.h"
@@ -67,25 +70,32 @@ struct EventKey {
   }
 };
 
+class EventQueue;
+
 /// Handle to a scheduled event. Copyable; cancelling any copy cancels the
-/// event. A default-constructed EventId refers to no event.
+/// event. A default-constructed EventId refers to no event. An id names
+/// its event's slot and the slot's generation; the generation moves on
+/// when the event runs or its cancelled entry leaves the heap, so a stale
+/// id never touches the event that later reuses the slot. Ids must not be
+/// used after their queue is destroyed.
 class EventId {
  public:
   EventId() = default;
 
   /// True if the event is still pending (scheduled, not cancelled, not run).
-  bool pending() const { return state_ && !*state_; }
+  bool pending() const;
 
   /// Cancel the event if still pending. Safe to call repeatedly, on
   /// already-run events, and on default-constructed ids.
-  void cancel() {
-    if (state_) *state_ = true;
-  }
+  void cancel();
 
  private:
   friend class EventQueue;
-  explicit EventId(std::shared_ptr<bool> state) : state_(std::move(state)) {}
-  std::shared_ptr<bool> state_;  // true => cancelled or executed
+  EventId(EventQueue* queue, std::uint32_t slot, std::uint32_t generation)
+      : queue_(queue), slot_(slot), generation_(generation) {}
+  EventQueue* queue_ = nullptr;
+  std::uint32_t slot_ = 0;
+  std::uint32_t generation_ = 0;
 };
 
 /// Time-ordered queue of callbacks. Not thread-safe: each queue is driven
@@ -93,6 +103,11 @@ class EventId {
 /// one partition window for PDES).
 class EventQueue {
  public:
+  EventQueue() = default;
+  // EventIds point at the queue.
+  EventQueue(const EventQueue&) = delete;
+  EventQueue& operator=(const EventQueue&) = delete;
+
   /// Schedule `fn` at absolute time `at` with the default local rank.
   /// `at` must not precede the time of the event currently being executed
   /// (no scheduling into the past).
@@ -129,6 +144,12 @@ class EventQueue {
   /// (observability for the compaction regression test).
   std::size_t heap_size() const { return heap_.size(); }
 
+  /// Slots currently holding an event, pending or cancelled-but-still-
+  /// heaped (observability for the slot-pool tests).
+  std::size_t slots_in_use() const {
+    return slots_.size() - free_slots_.size();
+  }
+
   /// Time of the event currently executing (or last executed).
   Time current_time() const { return current_time_; }
 
@@ -152,12 +173,17 @@ class EventQueue {
   }
 
  private:
+  friend class EventId;
+
+  // The heap element: the (at, rank, seq) order key plus the slot of the
+  // payload, packed into 40 trivially-copyable bytes.
   struct Entry {
     Time at = 0;
-    EventRank rank;
+    std::uint64_t a = 0;
+    std::uint64_t b = 0;
     std::uint64_t seq = 0;  // tie-breaker: FIFO among same-(time, rank)
-    std::function<void()> fn;
-    std::shared_ptr<bool> cancelled;
+    std::uint32_t slot = 0;
+    std::uint8_t cls = 0;
   };
   // Max-heap comparator for "later", so the heap root is the earliest
   // entry. (at, cls, a, b, seq) is a total order — seq is unique — so the
@@ -166,17 +192,37 @@ class EventQueue {
   struct Later {
     bool operator()(const Entry& x, const Entry& y) const {
       if (x.at != y.at) return x.at > y.at;
-      if (x.rank.cls != y.rank.cls) return x.rank.cls > y.rank.cls;
-      if (x.rank.a != y.rank.a) return x.rank.a > y.rank.a;
-      if (x.rank.b != y.rank.b) return x.rank.b > y.rank.b;
+      if (x.cls != y.cls) return x.cls > y.cls;
+      if (x.a != y.a) return x.a > y.a;
+      if (x.b != y.b) return x.b > y.b;
       return x.seq > y.seq;
     }
   };
+  // An event's payload. The slot is held from schedule until the event
+  // runs or its cancelled entry leaves the heap.
+  struct Slot {
+    std::function<void()> fn;
+    std::uint32_t generation = 0;
+    bool cancelled = false;
+  };
 
+  bool pending(std::uint32_t slot, std::uint32_t generation) const {
+    const Slot& s = slots_[slot];
+    return s.generation == generation && !s.cancelled;
+  }
+  void cancel(std::uint32_t slot, std::uint32_t generation) {
+    Slot& s = slots_[slot];
+    if (s.generation == generation) s.cancelled = true;
+  }
+  bool cancelled(const Entry& e) const { return slots_[e.slot].cancelled; }
+  // Return the slot to the free list and hand back its callable.
+  std::function<void()> release(std::uint32_t slot);
   void drop_cancelled_head();
   void maybe_compact();
 
   std::vector<Entry> heap_;  // std::push_heap/pop_heap managed
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
   std::uint64_t next_seq_ = 0;
   std::atomic<std::uint64_t>* seq_source_ = nullptr;
   std::uint64_t executed_ = 0;
@@ -189,5 +235,13 @@ class EventQueue {
   // (defer-TTL churn) cannot retain dead entries unboundedly.
   std::size_t compact_watermark_ = 0;
 };
+
+inline bool EventId::pending() const {
+  return queue_ != nullptr && queue_->pending(slot_, generation_);
+}
+
+inline void EventId::cancel() {
+  if (queue_ != nullptr) queue_->cancel(slot_, generation_);
+}
 
 }  // namespace cmap::sim

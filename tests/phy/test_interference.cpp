@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "phy/units.h"
@@ -28,6 +29,24 @@ Signal make_signal(std::uint64_t id, double power_dbm, sim::Time start,
 }
 
 constexpr double kNoiseDbm = -94.0;
+
+// Brute-force oracles over the whole history: the summed and the strongest
+// power of the signals on the air at `t`, for any `t`.
+double total_power_mw(const InterferenceTracker& t, sim::Time at) {
+  double total = 0.0;
+  for (const auto& s : t.signals()) {
+    if (s.start <= at && s.end > at) total += s.power_mw;
+  }
+  return total;
+}
+
+double max_power_mw(const InterferenceTracker& t, sim::Time at) {
+  double best = 0.0;
+  for (const auto& s : t.signals()) {
+    if (s.start <= at && s.end > at) best = std::max(best, s.power_mw);
+  }
+  return best;
+}
 
 TEST(Interference, SinrAgainstNoiseOnly) {
   InterferenceTracker t(dbm_to_mw(kNoiseDbm));
@@ -104,7 +123,7 @@ TEST(Interference, PruneIsLazyBelowTheCompactionThreshold) {
   // linger in signals()...
   EXPECT_EQ(t.signals().size(), 2u);
   // ...but every query is time-windowed, so it cannot affect results.
-  EXPECT_NEAR(mw_to_dbm(t.total_power_mw(2000)), -80.0, 0.01);
+  EXPECT_NEAR(mw_to_dbm(total_power_mw(t, 2000)), -80.0, 0.01);
   EXPECT_NEAR(linear_to_db(t.min_sinr(2, 1000, 5000)), 14.0, 0.01);
 }
 
@@ -175,12 +194,99 @@ TEST(Interference, TotalAndMaxPowerTrackActiveSignals) {
   InterferenceTracker t(dbm_to_mw(kNoiseDbm));
   t.add(make_signal(1, -80.0, 0, 1000));
   t.add(make_signal(2, -77.0, 500, 1500));
-  EXPECT_NEAR(mw_to_dbm(t.total_power_mw(250)), -80.0, 0.01);
-  EXPECT_NEAR(mw_to_dbm(t.max_power_mw(750)), -77.0, 0.01);
+  EXPECT_NEAR(mw_to_dbm(total_power_mw(t, 250)), -80.0, 0.01);
+  EXPECT_NEAR(mw_to_dbm(max_power_mw(t, 750)), -77.0, 0.01);
   const double both = dbm_to_mw(-80.0) + dbm_to_mw(-77.0);
-  EXPECT_NEAR(t.total_power_mw(750), both, both * 1e-9);
+  EXPECT_NEAR(total_power_mw(t, 750), both, both * 1e-9);
   // A signal is inactive exactly at its end time.
-  EXPECT_NEAR(mw_to_dbm(t.total_power_mw(1000)), -77.0, 0.01);
+  EXPECT_NEAR(mw_to_dbm(total_power_mw(t, 1000)), -77.0, 0.01);
+}
+
+TEST(Interference, CarrierPowerMatchesHistoryScanBitForBit) {
+  // The active set must add the very same doubles in the very same order as
+  // a scan of the history, or an energy-detect comparison could flip.
+  sim::Rng rng(77);
+  for (int trial = 0; trial < 20; ++trial) {
+    InterferenceTracker t(dbm_to_mw(kNoiseDbm));
+    sim::Time now = 0;
+    std::uint64_t next_id = 1;
+    for (int step = 0; step < 400; ++step) {
+      now += rng.uniform_int(0, 40'000);
+      // Deliveries arrive at their start time, as from the medium.
+      const int arrivals = static_cast<int>(rng.uniform_int(0, 3));
+      for (int i = 0; i < arrivals; ++i) {
+        t.add(make_signal(next_id++, rng.uniform(-95.0, -60.0), now,
+                          now + rng.uniform_int(1, 2'000'000)));
+      }
+      t.expire(now);
+      const CarrierPower p = t.carrier_power(now);
+      ASSERT_EQ(p.max_mw, max_power_mw(t, now)) << trial << "/" << step;
+      ASSERT_EQ(p.total_mw, total_power_mw(t, now)) << trial << "/" << step;
+    }
+  }
+}
+
+TEST(Interference, CarrierPowerCountsOnlySignalsAlreadyStarted) {
+  InterferenceTracker t(dbm_to_mw(kNoiseDbm));
+  t.add(make_signal(1, -80.0, 0, 1000));
+  t.add(make_signal(2, -77.0, 500, 1500));
+  EXPECT_EQ(t.carrier_power(250).total_mw, dbm_to_mw(-80.0));
+  EXPECT_EQ(t.carrier_power(750).max_mw, dbm_to_mw(-77.0));
+  // A signal is inactive exactly at its end time.
+  EXPECT_EQ(t.carrier_power(1000).total_mw, dbm_to_mw(-77.0));
+  EXPECT_EQ(t.carrier_power(1500).max_mw, 0.0);
+}
+
+TEST(Interference, AirtimeBoundPruningLeavesEveryResultUnchanged) {
+  // Two trackers fed the same radio-shaped signal stream: one expires its
+  // history at the airtime bound before every add, the other keeps all of
+  // it. Every window evaluated at or after the current time lies inside
+  // its target signal, and both must agree on it exactly.
+  sim::Rng rng(4242);
+  NistErrorModel model;
+  InterferenceTracker pruned(dbm_to_mw(kNoiseDbm));
+  InterferenceTracker full(dbm_to_mw(kNoiseDbm));
+  struct Live {
+    std::uint64_t id;
+    sim::Time start;
+    sim::Time end;
+  };
+  std::vector<Live> live;
+  sim::Time now = 0;
+  std::uint64_t next_id = 1;
+  int evaluated = 0;
+  for (int step = 0; step < 3000; ++step) {
+    now += rng.uniform_int(0, 60'000);
+    std::erase_if(live, [now](const Live& l) { return l.end < now; });
+    if (rng.uniform() < 0.6) {
+      const sim::Time len = rng.uniform_int(20'000, 2'500'000);
+      const Signal s = make_signal(next_id, rng.uniform(-92.0, -60.0), now,
+                                   now + len);
+      pruned.expire(now);
+      pruned.add(s);
+      full.add(s);
+      live.push_back({next_id++, now, now + len});
+    }
+    for (const Live& l : live) {
+      // A window inside the target that a radio could still evaluate: it
+      // ends no earlier than now.
+      const sim::Time begin = rng.uniform_int(l.start, l.end);
+      const sim::Time end = rng.uniform_int(std::max(begin, now), l.end);
+      const auto a = pruned.evaluate(l.id, begin, end, 8000,
+                                     WifiRate::k6Mbps, model, 1.0);
+      const auto b = full.evaluate(l.id, begin, end, 8000, WifiRate::k6Mbps,
+                                   model, 1.0);
+      ASSERT_EQ(a.success_prob, b.success_prob) << step;
+      ASSERT_EQ(a.min_sinr, b.min_sinr) << step;
+      ASSERT_EQ(pruned.min_sinr(l.id, l.start, l.end),
+                full.min_sinr(l.id, l.start, l.end))
+          << step;
+      ++evaluated;
+    }
+  }
+  EXPECT_GT(evaluated, 1000);
+  // The bound did real work: the pruned history is a small fraction.
+  EXPECT_LT(pruned.signals().size() * 10, full.signals().size());
 }
 
 TEST(Interference, EvaluateIsDeterministic) {
