@@ -59,25 +59,51 @@ double FriisPropagation::rx_power_bound_dbm(double tx_power_dbm,
 LogDistanceShadowing::LogDistanceShadowing(LogDistanceConfig config)
     : config_(config), ref_loss_db_(friis_ref_loss_db(config.frequency_hz)) {}
 
-double LogDistanceShadowing::shadow_db(NodeId from, NodeId to) const {
+double LogDistanceShadowing::path_loss_db(const Position& from_pos,
+                                          const Position& to_pos) const {
+  const double d = std::max(1.0, distance(from_pos, to_pos));
+  return ref_loss_db_ + 10.0 * config_.exponent * std::log10(d);
+}
+
+std::uint64_t LogDistanceShadowing::pair_key(NodeId from, NodeId to) const {
   const NodeId lo = std::min(from, to);
   const NodeId hi = std::max(from, to);
-  const std::uint64_t pair_key =
-      config_.seed ^ (static_cast<std::uint64_t>(lo) << 32 | hi);
-  const std::uint64_t dir_key =
-      config_.seed ^ (static_cast<std::uint64_t>(from) << 32 | to) ^
-      0x5bf03635u;
-  return config_.shadow_sigma_db * sim::hash_normal(pair_key) +
-         config_.asym_sigma_db * sim::hash_normal(dir_key);
+  return config_.seed ^ (static_cast<std::uint64_t>(lo) << 32 | hi);
+}
+
+std::uint64_t LogDistanceShadowing::dir_key(NodeId from, NodeId to) const {
+  return config_.seed ^ (static_cast<std::uint64_t>(from) << 32 | to) ^
+         0x5bf03635u;
+}
+
+double LogDistanceShadowing::shadow_db(NodeId from, NodeId to) const {
+  return config_.shadow_sigma_db * sim::hash_normal(pair_key(from, to)) +
+         config_.asym_sigma_db * sim::hash_normal(dir_key(from, to));
 }
 
 double LogDistanceShadowing::rx_power_dbm(double tx_power_dbm, NodeId from,
                                           NodeId to, const Position& from_pos,
                                           const Position& to_pos) const {
-  const double d = std::max(1.0, distance(from_pos, to_pos));
-  const double path_loss =
-      ref_loss_db_ + 10.0 * config_.exponent * std::log10(d);
-  return tx_power_dbm - path_loss + shadow_db(from, to);
+  return tx_power_dbm - path_loss_db(from_pos, to_pos) + shadow_db(from, to);
+}
+
+double LogDistanceShadowing::pair_rx_power_bound_dbm(
+    double tx_power_dbm, NodeId from, NodeId to, const Position& from_pos,
+    const Position& to_pos) const {
+  // A negative sigma flips a term's sign, and the bound only caps each
+  // Gaussian from above.
+  if (config_.shadow_sigma_db < 0.0 || config_.asym_sigma_db < 0.0) {
+    return rx_power_dbm(tx_power_dbm, from, to, from_pos, to_pos);
+  }
+  // Rounding is monotone, so each term, their sum and the final sum stay
+  // >= their exact-path twins. The margin absorbs any ulp-level difference
+  // in how the compiler evaluates the two expressions.
+  constexpr double kMarginDb = 1e-9;
+  const double shadow_bound =
+      config_.shadow_sigma_db * sim::hash_normal_bound(pair_key(from, to)) +
+      config_.asym_sigma_db * sim::hash_normal_bound(dir_key(from, to));
+  return tx_power_dbm - path_loss_db(from_pos, to_pos) + shadow_bound +
+         kMarginDb;
 }
 
 double LogDistanceShadowing::rx_power_bound_dbm(double tx_power_dbm,

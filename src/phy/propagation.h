@@ -21,6 +21,17 @@ class PropagationModel {
                               const Position& from_pos,
                               const Position& to_pos) const = 0;
 
+  /// Upper bound (dBm) on rx_power_dbm() for this one pair, never below
+  /// the double rx_power_dbm() returns for the same arguments. Callers
+  /// that only want pairs clearing some floor test this first and pay for
+  /// the exact value only when it passes, so an override should cost much
+  /// less than rx_power_dbm(). The default is the exact value itself.
+  virtual double pair_rx_power_bound_dbm(double tx_power_dbm, NodeId from,
+                                         NodeId to, const Position& from_pos,
+                                         const Position& to_pos) const {
+    return rx_power_dbm(tx_power_dbm, from, to, from_pos, to_pos);
+  }
+
   // ---- Sparse link-state support ----
 
   /// Upper bound (dBm) on rx_power_dbm() between ANY pair of nodes
@@ -96,6 +107,11 @@ class LogDistanceShadowing final : public PropagationModel {
   double rx_power_dbm(double tx_power_dbm, NodeId from, NodeId to,
                       const Position& from_pos,
                       const Position& to_pos) const override;
+  /// Exact path loss plus each shadowing term with its Gaussian replaced
+  /// by sim::hash_normal_bound: no log or cos in the shadowing.
+  double pair_rx_power_bound_dbm(double tx_power_dbm, NodeId from, NodeId to,
+                                 const Position& from_pos,
+                                 const Position& to_pos) const override;
   /// Deterministic path loss at `distance_m` plus `guard_sigmas` standard
   /// deviations of each shadowing component (pair-symmetric + asymmetric).
   double rx_power_bound_dbm(double tx_power_dbm, double distance_m,
@@ -104,6 +120,9 @@ class LogDistanceShadowing final : public PropagationModel {
   const LogDistanceConfig& config() const { return config_; }
 
  private:
+  double path_loss_db(const Position& from_pos, const Position& to_pos) const;
+  std::uint64_t pair_key(NodeId from, NodeId to) const;
+  std::uint64_t dir_key(NodeId from, NodeId to) const;
   double shadow_db(NodeId from, NodeId to) const;
 
   LogDistanceConfig config_;

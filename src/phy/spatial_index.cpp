@@ -70,7 +70,7 @@ void SpatialGrid::query(const Position& center, double radius_m,
     for (std::uint32_t i = 0; i < entries_.size(); ++i) {
       if (entries_[i].present) out->push_back(i);
     }
-    return;  // ascending by construction
+    return;
   }
   const std::int32_t cx_lo = coord(center.x - radius_m);
   const std::int32_t cx_hi = coord(center.x + radius_m);
@@ -87,7 +87,6 @@ void SpatialGrid::query(const Position& center, double radius_m,
       }
     }
   }
-  std::sort(out->begin(), out->end());
 }
 
 }  // namespace cmap::phy

@@ -8,9 +8,11 @@
 // Entries are dense uint32 indices (Medium attach indices or testbed node
 // ids), not pointers: callers own the objects; the grid only maps index ->
 // position -> cell. Queries are exact (candidate cells are distance-
-// filtered) and return indices sorted ascending, so every consumer
-// iterates candidates in the same deterministic order the dense paths use
-// — the property the byte-identity golden tests lean on.
+// filtered) and return indices in grid order: cell by cell, each cell in
+// its membership order. That order is deterministic but unsorted, so
+// consumers whose output depends on order sort what they keep (the sparse
+// Medium inserts into dst-sorted rows, the measurement pass sorts each
+// stored row), and neither pays to sort candidates it throws away.
 #pragma once
 
 #include <cstdint>
@@ -47,9 +49,10 @@ class SpatialGrid {
 
   /// Append every registered index whose distance to `center` is
   /// <= `radius_m` (including `center`'s own occupants at distance 0) to
-  /// `out`, sorted ascending. `out` is cleared first. An infinite radius
-  /// returns every registered index — the degenerate full-scan fallback
-  /// for propagation models that cannot bound their range.
+  /// `out`, in grid order (deterministic, not sorted). `out` is cleared
+  /// first. An infinite radius returns every registered index — the
+  /// degenerate full-scan fallback for propagation models that cannot
+  /// bound their range.
   void query(const Position& center, double radius_m,
              std::vector<std::uint32_t>* out) const;
 

@@ -19,6 +19,16 @@ std::uint64_t rotl(std::uint64_t x, int k) {
   return (x << k) | (x >> (64 - k));
 }
 
+// hash_normal's two uniforms: u1 in (0, 1] (never 0, so its log is
+// finite), u2 in [0, 1).
+double hash_u1(std::uint64_t h) {
+  return (static_cast<double>(mix64(h) >> 11) + 0.5) * 0x1.0p-53;
+}
+
+double hash_u2(std::uint64_t h) {
+  return static_cast<double>(mix64(h ^ 0xabcdef12345ull) >> 11) * 0x1.0p-53;
+}
+
 }  // namespace
 
 std::uint64_t mix64(std::uint64_t x) {
@@ -29,10 +39,25 @@ std::uint64_t mix64(std::uint64_t x) {
 }
 
 double hash_normal(std::uint64_t h) {
-  const double u1 = (static_cast<double>(mix64(h) >> 11) + 0.5) * 0x1.0p-53;
-  const double u2 =
-      static_cast<double>(mix64(h ^ 0xabcdef12345ull) >> 11) * 0x1.0p-53;
+  const double u1 = hash_u1(h);
+  const double u2 = hash_u2(h);
   return std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * M_PI * u2);
+}
+
+double hash_normal_bound(std::uint64_t h) {
+  // cos(2*pi*u2) <= 0 on [1/4, 3/4]. The interval is shrunk by far more
+  // than the rounding of 2.0 * M_PI * u2, so the computed cosine is
+  // negative on it too and hash_normal(h) cannot exceed 0 there.
+  constexpr double kQuarterMargin = 1e-9;
+  const double u2 = hash_u2(h);
+  if (u2 >= 0.25 + kQuarterMargin && u2 <= 0.75 - kQuarterMargin) return 0.0;
+  // |cos| <= 1, and (1 - u) / sqrt(u) >= -ln u on (0, 1]: with
+  // x = 1 / sqrt(u) it reads x - 1/x >= 2 ln x, an equality at x = 1 whose
+  // left side grows faster. The relative margin covers the few ulps either
+  // side rounds by.
+  constexpr double kRelMargin = 1e-9;
+  const double u1 = hash_u1(h);
+  return std::sqrt(2.0 * (1.0 - u1) / std::sqrt(u1)) * (1.0 + kRelMargin);
 }
 
 Rng::Rng(std::uint64_t seed) : Rng(seed, 0x6a09e667f3bcc909ull) {}

@@ -27,6 +27,14 @@ std::uint64_t mix64(std::uint64_t x);
 /// innovations — where the same key must always yield the same variate.
 double hash_normal(std::uint64_t h);
 
+/// Upper bound on hash_normal(h) that calls no log or cos, for rejecting
+/// keys cheaply before drawing them exactly. With hash_normal's uniforms
+/// u1, u2 it is 0 where cos(2*pi*u2) <= 0, and otherwise
+/// sqrt(2 (1 - u1) / sqrt(u1)), which is >= sqrt(-2 ln u1). Both branches
+/// carry a margin, so the bound is >= the computed double hash_normal(h)
+/// returns, not only >= the exact math.
+double hash_normal_bound(std::uint64_t h);
+
 /// xoshiro256++ PRNG plus the distributions the simulator needs.
 class Rng {
  public:

@@ -184,17 +184,21 @@ double LinkMeasurement::reference_prr(double mean_dbm,
   return sum / static_cast<double>(samples);
 }
 
+double LinkMeasurement::pair_prr(phy::NodeId from, phy::NodeId to,
+                                 double mean_dbm) const {
+  return spec_.config.mode == MeasurementMode::kFast
+             ? fast_prr(mean_dbm)
+             : reference_prr(mean_dbm,
+                             sim::Rng(spec_.seed).substream(
+                                 0xfade, pair_stream_id(from, to)));
+}
+
 std::pair<double, double> LinkMeasurement::measure_one(
     phy::NodeId from, phy::NodeId to, const phy::Position& from_pos,
     const phy::Position& to_pos) const {
   const double s = propagation_->rx_power_dbm(spec_.radio.tx_power_dbm, from,
                                               to, from_pos, to_pos);
-  const double p =
-      spec_.config.mode == MeasurementMode::kFast
-          ? fast_prr(s)
-          : reference_prr(s, sim::Rng(spec_.seed)
-                                 .substream(0xfade, pair_stream_id(from, to)));
-  return {p, s};
+  return {pair_prr(from, to, s), s};
 }
 
 LinkMeasurementResult LinkMeasurement::measure(
@@ -248,45 +252,59 @@ LinkMeasurementResult LinkMeasurement::measure_sparse(
   // Per-row buffers keep the pass shard-parallel and deterministic: each
   // row's output depends only on (seed, pair), and CSR assembly below is
   // a fixed-order concatenation.
-  struct Row {
-    std::vector<phy::NodeId> dst;
-    std::vector<double> prr, signal;
+  struct Link {
+    phy::NodeId dst;
+    double prr, signal;
   };
-  std::vector<Row> rows(n);
+  std::vector<std::vector<Link>> rows(n);
+  const double tx = spec_.radio.tx_power_dbm;
+  const double floor = spec_.delivery_floor_dbm;
   sim::parallel_for(spec_.config.threads, n, [&](std::size_t row) {
     const auto i = static_cast<phy::NodeId>(row);
+    const phy::Position& from_pos = positions[row];
     std::vector<std::uint32_t> cand;
-    grid.query(positions[row], radius, &cand);
-    Row& out = rows[row];
-    for (const std::uint32_t c : cand) {  // ascending — rows come out sorted
+    grid.query(from_pos, radius, &cand);
+    std::vector<Link>& out = rows[row];
+    for (const std::uint32_t c : cand) {
       if (c == row) continue;
       const auto j = static_cast<phy::NodeId>(c);
-      const auto [p, s] = measure_one(i, j, positions[row], positions[c]);
-      if (s < spec_.delivery_floor_dbm) continue;  // candidate, not connected
-      out.dst.push_back(j);
-      out.prr.push_back(p);
-      out.signal.push_back(s);
+      // Most candidates miss the floor. The pair bound is never below the
+      // exact signal, so a pair it rejects would fail the exact test too.
+      if (propagation_->pair_rx_power_bound_dbm(tx, i, j, from_pos,
+                                                positions[c]) < floor) {
+        continue;
+      }
+      const double s =
+          propagation_->rx_power_dbm(tx, i, j, from_pos, positions[c]);
+      if (s < floor) continue;  // candidate, not connected
+      out.push_back(Link{j, pair_prr(i, j, s), s});
     }
+    // Candidates come in grid order; only the stored links need sorting.
+    // Trimming the slack keeps the rows (all alive until the CSR is
+    // assembled) from raising the pass's peak memory.
+    std::sort(out.begin(), out.end(),
+              [](const Link& a, const Link& b) { return a.dst < b.dst; });
+    out.shrink_to_fit();
   });
 
   LinkMeasurementResult result;
   result.row_begin.reserve(n + 1);
   result.row_begin.push_back(0);
   std::size_t total = 0;
-  for (const Row& r : rows) {
-    total += r.dst.size();
+  for (const std::vector<Link>& r : rows) {
+    total += r.size();
     CMAP_ASSERT(total <= 0xffffffffu, "sparse link count overflows CSR index");
     result.row_begin.push_back(static_cast<std::uint32_t>(total));
   }
   result.dst.reserve(total);
   result.sparse_prr.reserve(total);
   result.sparse_signal.reserve(total);
-  for (Row& r : rows) {
-    result.dst.insert(result.dst.end(), r.dst.begin(), r.dst.end());
-    result.sparse_prr.insert(result.sparse_prr.end(), r.prr.begin(),
-                             r.prr.end());
-    result.sparse_signal.insert(result.sparse_signal.end(), r.signal.begin(),
-                                r.signal.end());
+  for (const std::vector<Link>& r : rows) {
+    for (const Link& l : r) {
+      result.dst.push_back(l.dst);
+      result.sparse_prr.push_back(l.prr);
+      result.sparse_signal.push_back(l.signal);
+    }
   }
   // Every stored signal cleared the floor, so the connected population is
   // exactly the stored one — same multiset the dense pass collects.

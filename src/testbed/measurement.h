@@ -56,9 +56,11 @@ struct MeasurementConfig {
   /// Pair-state layout measure() produces. kSparse never touches the n^2
   /// pair space: a spatial grid limits evaluation to pairs within the
   /// propagation model's guard-banded candidate radius
-  /// (phy::max_candidate_range_m over the delivery floor), and only pairs
-  /// whose mean signal actually clears the floor are stored. Off-CSR pairs
-  /// are answered lazily (see Testbed) with values identical to kDense.
+  /// (phy::max_candidate_range_m over the delivery floor), each candidate
+  /// gets the exact signal only if its cheap per-pair bound
+  /// (PropagationModel::pair_rx_power_bound_dbm) clears the floor, and
+  /// only pairs whose mean signal actually clears it are stored. Off-CSR
+  /// pairs are answered lazily (see Testbed) with values identical to kDense.
   MeasurementStore store = MeasurementStore::kDense;
   /// Confidence (in model sigmas) of the kSparse candidate radius: a pair
   /// outside it would need a shadowing realization beyond this many sigmas
@@ -154,6 +156,8 @@ class LinkMeasurement {
  private:
   void build_tables();
   double success_from_table(double rx_dbm) const;
+  /// The configured estimator's PRR for the directed pair at `mean_dbm`.
+  double pair_prr(phy::NodeId from, phy::NodeId to, double mean_dbm) const;
   LinkMeasurementResult measure_sparse(
       const std::vector<phy::Position>& positions) const;
 

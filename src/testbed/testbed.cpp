@@ -108,9 +108,19 @@ Testbed::Testbed(TestbedConfig config) : config_(config) {
   // potential link is stored in both directions.
   const auto n = static_cast<phy::NodeId>(config_.num_nodes);
   if (sparse()) {
+    // potential_link(a, b) on the CSR entries themselves: the forward
+    // values are at k, and one search finds the reverse entry. Only an
+    // unstored reverse direction takes the general (lazy) path.
     for (phy::NodeId a = 0; a < n; ++a) {
-      for (const phy::NodeId b : connected_neighbors(a)) {
-        if (potential_link(a, b)) potential_links_.emplace_back(a, b);
+      for (std::uint32_t k = row_begin_[a]; k < row_begin_[a + 1]; ++k) {
+        if (!(link_prr_[k] > 0.9 && link_signal_[k] >= p10_)) continue;
+        const phy::NodeId b = link_dst_[k];
+        const std::ptrdiff_t r = stored_index(b, a);
+        const bool potential =
+            r >= 0 ? link_prr_[static_cast<std::size_t>(r)] > 0.9 &&
+                         link_signal_[static_cast<std::size_t>(r)] >= p10_
+                   : potential_link(a, b);
+        if (potential) potential_links_.emplace_back(a, b);
       }
     }
   } else {

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+
+#include "dynamics/channel.h"
+#include "sim/random.h"
 
 namespace cmap::phy {
 namespace {
@@ -110,6 +114,81 @@ TEST(LogDistance, ShadowingHasRoughlyConfiguredSpread) {
   const double mean = sum / n;
   const double sd = std::sqrt(sq / n - mean * mean);
   EXPECT_NEAR(sd, 8.0, 1.2);
+}
+
+// ---- pair_rx_power_bound_dbm: the per-pair reject-first bound ----
+
+TEST(PairBound, LogDistanceBoundNeverBelowExactPower) {
+  // Random ids, positions and shadowing configs. Every fourth pair is drawn
+  // within 1 m per axis, mostly under the 1 m distance clamp.
+  sim::Rng rng(41);
+  for (const double shadow : {8.0, 0.0, 3.5}) {
+    for (const double asym : {2.0, 0.0, 6.0}) {
+      LogDistanceConfig cfg;
+      cfg.shadow_sigma_db = shadow;
+      cfg.asym_sigma_db = asym;
+      cfg.seed = rng.next_u64();
+      const LogDistanceShadowing p(cfg);
+      for (int k = 0; k < 100000; ++k) {
+        const auto from = static_cast<NodeId>(rng.uniform_int(0, 1 << 20));
+        const auto to = static_cast<NodeId>(rng.uniform_int(0, 1 << 20));
+        const Position a{rng.uniform(-500.0, 500.0),
+                         rng.uniform(-500.0, 500.0)};
+        const double reach = k % 4 == 0 ? 1.0 : 300.0;
+        const Position b{a.x + rng.uniform(-reach, reach),
+                         a.y + rng.uniform(-reach, reach)};
+        const double tx = rng.uniform(-10.0, 25.0);
+        ASSERT_GE(p.pair_rx_power_bound_dbm(tx, from, to, a, b),
+                  p.rx_power_dbm(tx, from, to, a, b))
+            << from << "->" << to << " shadow " << shadow << " asym " << asym;
+      }
+    }
+  }
+}
+
+TEST(PairBound, LogDistanceBoundRejectsMostPairsBelowAHighFloor) {
+  // Dominance alone would admit +infinity. Against a floor two shadowing
+  // sigmas above the mean power at 30 m, which ~98% of pairs miss, the
+  // bound must reject most of those pairs outright.
+  const LogDistanceShadowing p;
+  const double sigma =
+      std::hypot(p.config().shadow_sigma_db, p.config().asym_sigma_db);
+  const double floor = p.rx_power_bound_dbm(0.0, 30.0, 0.0) + 2.0 * sigma;
+  int missed = 0, rejected = 0;
+  for (NodeId j = 1; j <= 20000; ++j) {
+    if (p.rx_power_dbm(0.0, 0, j, {0, 0}, {30, 0}) >= floor) continue;
+    ++missed;
+    rejected += p.pair_rx_power_bound_dbm(0.0, 0, j, {0, 0}, {30, 0}) < floor;
+  }
+  EXPECT_GT(rejected, missed * 7 / 10) << rejected << " of " << missed;
+}
+
+TEST(PairBound, NegativeSigmaFallsBackToTheExactPower) {
+  LogDistanceConfig cfg;
+  cfg.shadow_sigma_db = -8.0;
+  const LogDistanceShadowing p(cfg);
+  for (NodeId j = 1; j < 200; ++j) {
+    EXPECT_EQ(p.pair_rx_power_bound_dbm(15.0, 0, j, {0, 0}, {25, 3}),
+              p.rx_power_dbm(15.0, 0, j, {0, 0}, {25, 3}));
+  }
+}
+
+TEST(PairBound, DefaultIsTheExactPowerForFriisAndDynamicShadowing) {
+  const FriisPropagation friis;
+  dynamics::DynamicShadowing dynamic(std::make_shared<LogDistanceShadowing>(),
+                                     dynamics::ChannelConfig{});
+  dynamic.advance_epoch();  // a non-zero AR(1) offset on every pair
+  sim::Rng rng(43);
+  for (int k = 0; k < 2000; ++k) {
+    const auto from = static_cast<NodeId>(rng.uniform_int(0, 500));
+    const auto to = static_cast<NodeId>(rng.uniform_int(0, 500));
+    const Position a{rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0)};
+    const Position b{rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0)};
+    EXPECT_EQ(friis.pair_rx_power_bound_dbm(15.0, from, to, a, b),
+              friis.rx_power_dbm(15.0, from, to, a, b));
+    EXPECT_EQ(dynamic.pair_rx_power_bound_dbm(15.0, from, to, a, b),
+              dynamic.rx_power_dbm(15.0, from, to, a, b));
+  }
 }
 
 }  // namespace

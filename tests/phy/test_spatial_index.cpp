@@ -3,7 +3,8 @@
 // adversarial ones (everything in one cell, one point per cell, points
 // straddling cell boundaries), with membership tracking moves and
 // removals. The sparse link-state paths build on these answers, so any
-// discrepancy here becomes a silently-missing link there.
+// discrepancy here becomes a silently-missing link there. Queries return
+// grid order, not sorted order, so answers are compared as sorted copies.
 #include "phy/spatial_index.h"
 
 #include <gtest/gtest.h>
@@ -28,6 +29,11 @@ std::vector<std::uint32_t> brute_force(const std::vector<Position>& pts,
   return out;  // ascending by construction
 }
 
+std::vector<std::uint32_t> sorted(std::vector<std::uint32_t> v) {
+  std::sort(v.begin(), v.end());
+  return v;
+}
+
 void expect_grid_matches_brute(const SpatialGrid& grid,
                                const std::vector<Position>& pts,
                                const std::vector<bool>& present,
@@ -37,9 +43,8 @@ void expect_grid_matches_brute(const SpatialGrid& grid,
     if (!present[c]) continue;
     for (const double r : radii) {
       grid.query(pts[c], r, &got);
-      EXPECT_EQ(got, brute_force(pts, present, pts[c], r))
+      EXPECT_EQ(sorted(got), brute_force(pts, present, pts[c], r))
           << "center " << c << " radius " << r;
-      EXPECT_TRUE(std::is_sorted(got.begin(), got.end()));
     }
   }
 }
@@ -99,7 +104,7 @@ TEST(SpatialGrid, BoundaryStraddlingPointsAndExactRadii) {
   // (0,5), (-5,0) and the interior (2.5,2.5), but not (5,5).
   std::vector<std::uint32_t> got;
   grid.query({0.0, 0.0}, 5.0, &got);
-  EXPECT_EQ(got, (std::vector<std::uint32_t>{0, 1, 2, 5, 6}));
+  EXPECT_EQ(sorted(got), (std::vector<std::uint32_t>{0, 1, 2, 5, 6}));
 }
 
 TEST(SpatialGrid, InfiniteRadiusReturnsEveryone) {
@@ -108,7 +113,7 @@ TEST(SpatialGrid, InfiniteRadiusReturnsEveryone) {
   for (std::uint32_t i = 0; i < pts.size(); ++i) grid.insert(i, pts[i]);
   std::vector<std::uint32_t> got;
   grid.query({3.0, 3.0}, std::numeric_limits<double>::infinity(), &got);
-  EXPECT_EQ(got, (std::vector<std::uint32_t>{0, 1, 2}));
+  EXPECT_EQ(sorted(got), (std::vector<std::uint32_t>{0, 1, 2}));
 }
 
 TEST(SpatialGrid, MovesRebucketCorrectly) {
