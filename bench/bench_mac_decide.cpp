@@ -80,7 +80,7 @@ int main() {
 
   // Every flow on the air until well past the query window.
   for (phy::NodeId i = 0; i < F; ++i) {
-    core::VpDescriptor d;
+    core::VpFields d;
     d.src = i;
     d.dst = F + i;
     d.data_rate = phy::WifiRate::k6Mbps;

@@ -135,8 +135,7 @@ struct FanoutWorld {
 
   static phy::MediumConfig medium_config(bool fast) {
     phy::MediumConfig m;
-    m.enable_gain_cache = fast;
-    m.enable_culling = fast;
+    if (!fast) m.link_state = phy::LinkStateMode::kDenseReference;
     return m;
   }
 

@@ -115,7 +115,7 @@ CmapMac::CmapMac(sim::Simulator& simulator, phy::Radio& radio,
                config.interferer_halflife) {
   CMAP_ASSERT(config_.mode != PhyMode::kIntegrated || config_.nvpkt == 1,
               "integrated mode carries one packet per frame");
-  trace_.bind(radio_.medium().tracer_for(radio_.id()), radio_.id());
+  trace_.bind(radio_.medium().tracer(), radio_.id());
   defer_table_.set_tracer(trace_.tracer, radio_.id());
   ongoing_.set_tracer(trace_.tracer, radio_.id());
   metrics_.bind(radio_.medium().metrics(), metrics::Domain::kMac);
@@ -311,7 +311,7 @@ void CmapMac::start_vp(phy::NodeId dst) {
   }
 
   const std::uint32_t vp_seq = ++next_vp_seq_;
-  VpDescriptor d;
+  VpFields d;
   d.src = radio_.id();
   d.dst = dst;
   d.vp_seq = vp_seq;
@@ -339,14 +339,14 @@ void CmapMac::start_vp(phy::NodeId dst) {
     const sim::Time trl_air =
         phy::frame_airtime(config_.control_rate, kVpHeaderBytes);
 
-    VpDescriptor hd = d;
+    VpFields hd = d;
     hd.elapsed_through = hdr_air;
     hd.remaining_after = data_air + trl_air;
     vp_frames_.push_back(build_delim_frame(hd, /*trailer=*/false));
     for (auto& df : data_frames) {
       vp_frames_.push_back(build_data_frame(df));
     }
-    VpDescriptor td = d;
+    VpFields td = d;
     td.elapsed_through = hdr_air + data_air + trl_air;
     td.remaining_after = 0;
     vp_frames_.push_back(build_delim_frame(td, /*trailer=*/true));
@@ -392,7 +392,7 @@ void CmapMac::start_broadcast_vp() {
   if (pkts.empty()) return;
 
   const std::uint32_t vp_seq = ++next_vp_seq_;
-  VpDescriptor d;
+  VpFields d;
   d.src = radio_.id();
   d.dst = phy::kBroadcastId;
   d.vp_seq = vp_seq;
@@ -416,12 +416,12 @@ void CmapMac::start_broadcast_vp() {
     const sim::Time hdr_air =
         phy::frame_airtime(config_.control_rate, kVpHeaderBytes);
     const sim::Time trl_air = hdr_air;
-    VpDescriptor hd = d;
+    VpFields hd = d;
     hd.elapsed_through = hdr_air;
     hd.remaining_after = data_air + trl_air;
     vp_frames_.push_back(build_delim_frame(hd, false));
     for (auto& df : data_frames) vp_frames_.push_back(build_data_frame(df));
-    VpDescriptor td = d;
+    VpFields td = d;
     td.elapsed_through = hdr_air + data_air + trl_air;
     td.remaining_after = 0;
     vp_frames_.push_back(build_delim_frame(td, true));
@@ -438,7 +438,7 @@ void CmapMac::start_broadcast_vp() {
   transmit_next_vp_frame();
 }
 
-phy::Frame CmapMac::build_delim_frame(const VpDescriptor& d,
+phy::Frame CmapMac::build_delim_frame(const VpFields& d,
                                       bool trailer) const {
   auto delim = std::make_shared<VpDelimFrame>();
   delim->d = d;
@@ -459,7 +459,7 @@ phy::Frame CmapMac::build_data_frame(const CmapDataFrame& data) const {
   return f;
 }
 
-phy::Frame CmapMac::build_integrated_frame(const VpDescriptor& d,
+phy::Frame CmapMac::build_integrated_frame(const VpFields& d,
                                            const CmapDataFrame& data) const {
   auto payload = std::make_shared<IntegratedDataFrame>();
   payload->d = d;
@@ -592,7 +592,7 @@ CmapMac::VpRxContext& CmapMac::context_for(phy::NodeId src,
   return it->second;
 }
 
-void CmapMac::handle_delimiter(const VpDescriptor& d, bool is_trailer,
+void CmapMac::handle_delimiter(const VpFields& d, bool is_trailer,
                                sim::Time vp_start, sim::Time vp_end) {
   if (is_trailer) {
     ++counters_.trailers_heard;

@@ -194,14 +194,14 @@ class CmapMac final : public mac::Mac, public phy::RadioListener {
   void arm_retx_timer();
   void on_retx_timeout();
   void handle_ack(const CmapAckFrame& ack);
-  phy::Frame build_delim_frame(const VpDescriptor& d, bool trailer) const;
+  phy::Frame build_delim_frame(const VpFields& d, bool trailer) const;
   phy::Frame build_data_frame(const CmapDataFrame& data) const;
-  phy::Frame build_integrated_frame(const VpDescriptor& d,
+  phy::Frame build_integrated_frame(const VpFields& d,
                                     const CmapDataFrame& data) const;
 
   // Receiver path. `vp_start`/`vp_end` place the whole virtual packet in
   // time (reconstructed from the delimiter's transmission-time fields).
-  void handle_delimiter(const VpDescriptor& d, bool is_trailer,
+  void handle_delimiter(const VpFields& d, bool is_trailer,
                         sim::Time vp_start, sim::Time vp_end);
   VpRxContext& context_for(phy::NodeId src, std::uint32_t vp_seq);
   void handle_data(const CmapDataFrame& data, double rssi_dbm);

@@ -2,7 +2,7 @@
 
 namespace cmap::core {
 
-void OngoingList::note(const VpDescriptor& d, sim::Time end_time,
+void OngoingList::note(const VpFields& d, sim::Time end_time,
                        sim::Time now) {
   CMAP_ASSERT(!walking_, "note() during an OngoingList walk");
   // A pair already on the ring — expired or not — is updated in place,

@@ -48,11 +48,11 @@ class OngoingList {
   /// current time, which closes the entry). Re-noting a known pair updates
   /// it in place; new pairs reuse a free slot before growing the pool.
   /// `now` is only consumed by tracing (the transition's timestamp).
-  void note(const VpDescriptor& d, sim::Time end_time, sim::Time now);
+  void note(const VpFields& d, sim::Time end_time, sim::Time now);
 
   /// Untraced convenience (tests): stamps the transition at end_time,
   /// which is only observable when a tracer is bound.
-  void note(const VpDescriptor& d, sim::Time end_time) {
+  void note(const VpFields& d, sim::Time end_time) {
     note(d, end_time, end_time);
   }
 

@@ -19,7 +19,7 @@ inline constexpr phy::WifiRate kAnyRate = static_cast<phy::WifiRate>(0xff);
 
 /// Fields shared by a virtual packet's header and trailer (Fig. 3: 24 bytes
 /// on the wire — src 6, dst 6, transmission time 4, seq 4, CRC 4).
-struct VpDescriptor {
+struct VpFields {
   phy::NodeId src = 0;
   phy::NodeId dst = 0;
   std::uint32_t vp_seq = 0;
@@ -37,7 +37,7 @@ inline constexpr std::size_t kVpHeaderBytes = 24;
 
 /// Standalone header/trailer packet (shim mode).
 struct VpDelimFrame : phy::Payload {
-  VpDescriptor d;
+  VpFields d;
   bool is_trailer = false;
   std::size_t wire_bytes() const { return kVpHeaderBytes; }
 };
@@ -57,7 +57,7 @@ struct CmapDataFrame : phy::Payload {
 /// Integrated-PHY data frame: header and trailer ride inside the frame as
 /// separately-decodable segments (kHeader / kBody / kTrailer).
 struct IntegratedDataFrame : phy::Payload {
-  VpDescriptor d;  // npackets == 1
+  VpFields d;  // npackets == 1
   CmapDataFrame data;
   std::size_t body_bytes() const { return data.wire_bytes(); }
 };

@@ -24,9 +24,8 @@ Dynamics::Dynamics(sim::Simulator& simulator, phy::Medium& medium,
 
 void Dynamics::start() {
   if (mobility_) mobility_->start();
-  // Global rank: dynamics events mutate shared medium state, so the PDES
-  // engine runs them alone at a barrier — and the serial queue sorts them
-  // first at their tick to match.
+  // Global rank: dynamics events mutate state every node reads, so they
+  // sort first at their tick (docs/determinism.md, "Event order").
   if (channel_) {
     sim_.in_ranked(config_.channel->epoch, sim::kGlobalRank,
                    [this] { channel_step(); });

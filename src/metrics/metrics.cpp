@@ -51,12 +51,6 @@ void append_u64(std::string* out, std::uint64_t v) {
   *out += buf;
 }
 
-void append_ms(std::string* out, double ms) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.3f", ms);
-  *out += buf;
-}
-
 }  // namespace
 
 const char* counter_name(Counter c) {
@@ -90,52 +84,13 @@ std::string MetricsSnapshot::counters_json() const {
 std::string MetricsSnapshot::to_json() const {
   std::string out = "{\"counters\":";
   out += counters_json();
-  out += ",\"execution\":{\"partitions\":";
-  append_u64(&out, static_cast<std::uint64_t>(partitions));
-  out += ",\"threads\":";
-  append_u64(&out, static_cast<std::uint64_t>(threads));
+  out += ",\"execution\":{\"events_executed\":";
+  append_u64(&out, events_executed);
   out += ",\"queue_depth_high_water\":";
   append_u64(&out, queue_depth_high_water);
   out += ",\"queue_compactions\":";
   append_u64(&out, queue_compactions);
-  out += ",\"rounds\":";
-  append_u64(&out, rounds);
-  out += ",\"global_barriers\":";
-  append_u64(&out, global_barriers);
-  out += ",\"merged_windows\":";
-  append_u64(&out, merged_windows);
-  out += ",\"parallel_wall_ms\":";
-  append_ms(&out, parallel_wall_ms);
-  // The histogram serializes sparsely: only occupied bins, as
-  // "log2_bin": count — windows span ns to seconds, so most bins are 0.
-  out += ",\"window_log2\":{";
-  bool first = true;
-  for (std::size_t i = 0; i < window_log2.size(); ++i) {
-    if (window_log2[i] == 0) continue;
-    if (!first) out += ",";
-    first = false;
-    out += "\"";
-    append_u64(&out, static_cast<std::uint64_t>(i));
-    out += "\":";
-    append_u64(&out, window_log2[i]);
-  }
-  out += "},\"partitions_detail\":[";
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    const PartitionExec& p = parts[i];
-    if (i != 0) out += ",";
-    out += "{\"partition\":";
-    append_u64(&out, static_cast<std::uint64_t>(p.partition));
-    out += ",\"executed\":";
-    append_u64(&out, p.executed);
-    out += ",\"mailbox_posted\":";
-    append_u64(&out, p.mailbox_posted);
-    out += ",\"busy_ms\":";
-    append_ms(&out, p.busy_ms);
-    out += ",\"barrier_wait_ms\":";
-    append_ms(&out, p.barrier_wait_ms);
-    out += "}";
-  }
-  out += "]}}";
+  out += "}}";
   return out;
 }
 

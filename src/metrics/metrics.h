@@ -10,15 +10,12 @@
 // bench_metrics measures the disabled-mode ratio and CI gates it at 1.02.
 //
 // Determinism contract: the counter section is a pure function of
-// (config, seed) — byte-identical across SweepRunner thread counts AND
-// across PDES partition counts (tests/metrics/test_metrics_golden.cpp).
-// Counters are relaxed std::atomic sums and maxes: both are commutative,
-// so the value is independent of the order partition workers interleave
-// their increments, and concurrent increments are race-free under TSan.
-// Everything that genuinely depends on the execution strategy — event
-// queue depths, PDES rounds, windows, mailbox traffic, barrier waits,
-// wall-clock timings — lives in the separate *execution* section of the
-// snapshot, which is explicitly exempt from the byte-identity contract.
+// (config, seed) — byte-identical across SweepRunner thread counts
+// (tests/metrics/test_metrics_golden.cpp). Counters are sums and maxes,
+// both commutative, so totals do not depend on the order the sites fire
+// in. Facts about how the run was executed rather than what it simulated
+// — events dispatched, queue depth and compactions — live in the separate
+// *execution* section of the snapshot, outside the byte-identity contract.
 //
 // Registry state is run-local (owned by the World, like the Tracer), never
 // static: runs stay independent and cmap_lint's mutable-static rule stays
@@ -42,7 +39,7 @@ namespace cmap::metrics {
 enum class Domain : std::uint8_t {
   kPhy = 0,       // Medium + Radio: fan-out, caches, collisions
   kMac = 1,       // CmapMac: defer decisions, DeferTable, OngoingList
-  kSim = 2,       // event queues + PDES execution profile
+  kSim = 2,       // the event queue (execution section only)
   kDynamics = 3,  // mobility moves, cache invalidations, channel epochs
   kCount
 };
@@ -115,9 +112,8 @@ struct MetricsConfig {
   bool operator==(const MetricsConfig&) const = default;
 };
 
-/// The run-local accumulator. Thread-safe by construction: every slot is a
-/// relaxed atomic and every operation is commutative, so PDES partition
-/// workers may increment concurrently without perturbing the totals.
+/// The run-local accumulator, incremented from the run's one thread. Every
+/// slot is a relaxed atomic and every operation is commutative.
 class Registry {
  public:
   explicit Registry(std::uint32_t domains = kAllDomains)
@@ -174,22 +170,9 @@ struct MetricsHook {
   }
 };
 
-/// One partition's share of the run, for the PDES stall attribution rows.
-/// barrier_wait_ms is the partition's idle share of the parallel phase:
-/// the total time windows were executing anywhere minus the time this
-/// partition's own events were executing.
-struct PartitionExec {
-  int partition = 0;
-  std::uint64_t executed = 0;        // events dispatched by this queue
-  std::uint64_t mailbox_posted = 0;  // cross-group messages addressed to it
-  double busy_ms = 0.0;
-  double barrier_wait_ms = 0.0;
-};
-
 /// Everything one run measured, split into the deterministic counter
-/// section (counters_json(), byte-identical across thread and partition
-/// counts) and the execution section (everything else — explicitly a
-/// property of how the run was executed, not of the simulation).
+/// section (counters_json(), byte-identical across thread counts) and the
+/// execution section (the run's event queue facts).
 struct MetricsSnapshot {
   std::uint32_t domains = 0;
 
@@ -197,18 +180,9 @@ struct MetricsSnapshot {
   std::array<std::uint64_t, kCounterCount> counters{};
 
   // ---- execution section (not covered by the byte-identity contract) ----
-  int partitions = 1;
-  int threads = 1;
-  std::uint64_t queue_depth_high_water = 0;  // max heap depth, any queue
+  std::uint64_t events_executed = 0;         // events the queue dispatched
+  std::uint64_t queue_depth_high_water = 0;  // max heap depth
   std::uint64_t queue_compactions = 0;       // cancelled-entry compactions
-  std::uint64_t rounds = 0;                  // conservative PDES rounds
-  std::uint64_t global_barriers = 0;         // global-sequencer barriers
-  std::uint64_t merged_windows = 0;          // zero-lookahead merged groups
-  /// Histogram of conservative window sizes: bin i counts windows with
-  /// floor(log2(size_ns)) == i (bin 0 also takes size 1 ns).
-  std::array<std::uint64_t, 64> window_log2{};
-  std::vector<PartitionExec> parts;
-  double parallel_wall_ms = 0.0;  // total time partition windows were live
 
   std::uint64_t counter(Counter c) const {
     return counters[static_cast<std::size_t>(c)];

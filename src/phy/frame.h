@@ -25,11 +25,11 @@ struct Payload {
 };
 
 /// Globally unique per-transmission frame id derived from the sender
-/// alone: ((tx + 1) << 40) | per-sender sequence. Sender-local derivation
-/// keeps ids identical between the serial and partitioned (PDES)
-/// executives — a medium-global counter would depend on how node events
-/// interleave across partitions — which matters because per-delivery
-/// fading substreams are keyed on the frame id. NodeId < 2^20 (the
+/// alone: ((tx + 1) << 40) | per-sender sequence. A frame's id thus
+/// depends only on its sender's own history, never on how other nodes'
+/// transmissions interleave with it (a medium-global counter would), which
+/// matters because per-delivery fading substreams and same-tick delivery
+/// order are both keyed on the frame id. NodeId < 2^20 (the
 /// medium's id cap) and < 2^40 frames per sender fit without collision;
 /// the +1 keeps 0 free as the "no frame" sentinel receivers rely on.
 constexpr std::uint64_t make_frame_id(NodeId tx_node, std::uint64_t seq) {

@@ -7,7 +7,6 @@
 #include "phy/radio.h"
 #include "phy/units.h"
 #include "sim/assert.h"
-#include "sim/pdes.h"
 
 namespace cmap::phy {
 namespace {
@@ -18,6 +17,15 @@ constexpr double kSelfGainDbm = -1e30;
 // allocating gigabytes. Matches the net layer's packet-id packing bound
 // (traffic.cpp packs src ids into 20 bits). 1M ids = 4 MB worst case.
 constexpr phy::NodeId kMaxRadioId = 1u << 20;
+constexpr double kSpeedOfLight = 2.99792458e8;
+
+// Signal flight time over `meters`, floored at 1 ns: two distinct radios
+// are never truly co-located, so every pair gets a strictly positive
+// delay no matter how close mobility drives them.
+sim::Time propagation_delay_ns(double meters) {
+  return std::max<sim::Time>(
+      1, static_cast<sim::Time>(meters / kSpeedOfLight * 1e9));
+}
 
 // Sorted-vector helpers for the sparse rows (both row kinds are kept
 // ascending by destination index).
@@ -36,7 +44,7 @@ Medium::Medium(sim::Simulator& simulator,
     : sim_(simulator),
       propagation_(std::move(propagation)),
       config_(config),
-      mode_(config.effective_mode()),
+      mode_(config.link_state),
       rng_(rng) {
   if (mode_ == LinkStateMode::kSparse) {
     dyn_delta_db_ =
@@ -60,18 +68,8 @@ Medium::Link Medium::compute_link(const Radio& src, const Radio& dst) const {
   link.gain_dbm =
       propagation_->rx_power_dbm(src.config().tx_power_dbm, src.id(), dst.id(),
                                  src.position(), dst.position());
-  // Shared with the PDES lookahead derivation (phy/partition.h) so the
-  // lookahead provably lower-bounds every link delay.
   link.delay = propagation_delay_ns(distance(src.position(), dst.position()));
   return link;
-}
-
-void Medium::set_partition_tracers(std::vector<trace::Tracer*> tracers) {
-  part_tracers_ = std::move(tracers);
-  part_hooks_.assign(part_tracers_.size(), trace::TraceHook{});
-  for (std::size_t p = 0; p < part_tracers_.size(); ++p) {
-    part_hooks_[p].bind(part_tracers_[p]);
-  }
 }
 
 std::uint32_t Medium::index_of(NodeId id) const {
@@ -293,7 +291,6 @@ void Medium::refresh_all() {
 }
 
 void Medium::on_position_changed(Radio& radio) {
-  ++position_epoch_;
   metrics_dyn_.inc(metrics::Counter::kDynMoves);
   if (mode_ == LinkStateMode::kDenseReference) return;
   const std::uint32_t idx = index_of(radio.id());
@@ -337,9 +334,7 @@ std::size_t Medium::fanout_candidates(NodeId source) const {
   const std::uint32_t idx = index_of(source);
   CMAP_ASSERT(idx != kNoIndex, "unknown radio id");
   if (mode_ == LinkStateMode::kSparse) return sparse_rows_[idx].size();
-  if (mode_ == LinkStateMode::kDenseCached && config_.enable_culling) {
-    return reachable_[idx].size();
-  }
+  if (mode_ == LinkStateMode::kDenseCached) return reachable_[idx].size();
   return radios_.size() - 1;
 }
 
@@ -399,33 +394,19 @@ void Medium::deliver_one(Radio& target, const Link& link,
     r->deliver(std::move(sig));
   };
   // Ranked on (frame id, receiver id) — both intrinsic to the delivery —
-  // so same-tick arrivals order identically whether this run is serial or
-  // partitioned, and whichever route (direct or mailbox) a PDES delivery
-  // takes.
-  if (engine_ == nullptr) {
-    sim_.at_ranked(start, sim::delivery_rank(frame->id, target.id()),
-                   std::move(arrive));
-    return;
-  }
-  engine_->schedule_delivery(partition_of(frame->tx_node),
-                             partition_of(target.id()), start, frame->id,
-                             target.id(), std::move(arrive));
+  // so same-tick arrivals order by what they are, not by which transmit
+  // scheduled them first.
+  sim_.at_ranked(start, sim::delivery_rank(frame->id, target.id()),
+                 std::move(arrive));
 }
 
 void Medium::transmit(Radio& source, std::shared_ptr<const Frame> frame) {
-  // The transmit instant is the *source's* clock: under PDES each radio
-  // lives on its partition's simulator, and the medium's own handle is the
-  // global sequencer whose clock lags inside a parallel window.
-  const sim::Time now = source.simulator().now();
-  const trace::TraceHook& hook =
-      engine_ != nullptr && !part_hooks_.empty()
-          ? part_hooks_[static_cast<std::size_t>(partition_of(source.id()))]
-          : trace_;
-  if (hook.wants(trace::Category::kPhyTx)) {
-    hook.tracer->phy_tx(now, source.id(), frame->id,
-                        static_cast<std::uint32_t>(frame->rate),
-                        static_cast<std::uint32_t>(frame->size_bytes()),
-                        frame->duration);
+  const sim::Time now = sim_.now();
+  if (trace_.wants(trace::Category::kPhyTx)) {
+    trace_.tracer->phy_tx(now, source.id(), frame->id,
+                          static_cast<std::uint32_t>(frame->rate),
+                          static_cast<std::uint32_t>(frame->size_bytes()),
+                          frame->duration);
   }
   if (metrics_.on()) {
     metrics_.inc(metrics::Counter::kPhyTransmits);
@@ -453,15 +434,8 @@ void Medium::transmit(Radio& source, std::shared_ptr<const Frame> frame) {
     const std::uint32_t si = index_of(source.id());
     CMAP_ASSERT(si != kNoIndex, "transmit from unattached radio");
     const auto& row = links_[si];
-    if (config_.enable_culling) {
-      for (const std::uint32_t di : reachable_[si]) {
-        deliver_one(*radios_[di], row[di], frame, now);
-      }
-    } else {
-      for (std::uint32_t di = 0; di < row.size(); ++di) {
-        if (di == si) continue;
-        deliver_one(*radios_[di], row[di], frame, now);
-      }
+    for (const std::uint32_t di : reachable_[si]) {
+      deliver_one(*radios_[di], row[di], frame, now);
     }
     return;
   }

@@ -37,17 +37,12 @@
 
 #include "metrics/metrics.h"
 #include "phy/frame.h"
-#include "phy/partition.h"
 #include "phy/propagation.h"
 #include "phy/spatial_index.h"
 #include "phy/types.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
 #include "trace/trace.h"
-
-namespace cmap::sim {
-class PdesEngine;
-}  // namespace cmap::sim
 
 namespace cmap::phy {
 
@@ -77,26 +72,10 @@ struct MediumConfig {
   // range and epoch-delta bounds in kSparse mode. With fading_sigma_db ==
   // 0 fading-culling is exact.
   double cull_guard_sigmas = 6.0;
-  // ---- Deprecated shims (the pre-LinkStateMode bool API) ----
-  // Honored by effective_mode() so existing call sites compile and behave
-  // unchanged; new code should set link_state instead.
-  // enable_gain_cache == false overrides link_state with kDenseReference.
-  bool enable_gain_cache = true;
-  // Within kDenseCached only: skip receivers outside the reachability set
-  // (off: cached full fan-out), and splice rows incrementally on a move
-  // (off: every move rebuilds the whole cache — the reference oracle the
-  // incremental path is golden-tested against). kSparse ignores both.
-  bool enable_culling = true;
+  // Within kDenseCached only: splice rows incrementally on a move (off:
+  // every move rebuilds the whole cache — the reference oracle the
+  // incremental path is golden-tested against). kSparse ignores it.
   bool incremental_invalidation = true;
-
-  /// The representation the medium will actually run, with the deprecated
-  /// bools folded in: an explicit kSparse always wins; otherwise
-  /// enable_gain_cache == false downgrades to kDenseReference.
-  LinkStateMode effective_mode() const {
-    if (link_state == LinkStateMode::kSparse) return LinkStateMode::kSparse;
-    if (!enable_gain_cache) return LinkStateMode::kDenseReference;
-    return link_state;
-  }
 
   bool operator==(const MediumConfig&) const = default;
 };
@@ -152,40 +131,11 @@ class Medium {
   /// Attach (or detach, with nullptr) the run's metrics Registry. Same
   /// anchor role as set_tracer: call before radios attach — every
   /// instrumented component binds its own cached MetricsHook from here.
-  /// Unlike tracers the registry is not per-partition: its slots are
-  /// commutative relaxed atomics, safe to share across PDES workers.
   void set_metrics(metrics::Registry* registry) {
     metrics_.bind(registry, metrics::Domain::kPhy);
     metrics_dyn_.bind(registry, metrics::Domain::kDynamics);
   }
   metrics::Registry* metrics() const { return metrics_.registry; }
-
-  /// Route deliveries through a PDES engine (testbed::World installs this
-  /// before any radio attaches; both pointers must outlive the medium or
-  /// be cleared). `plan` maps NodeId -> partition. nullptr restores the
-  /// serial path.
-  void set_pdes(sim::PdesEngine* engine, const PartitionPlan* plan) {
-    engine_ = engine;
-    plan_ = engine != nullptr ? plan : nullptr;
-  }
-  /// The partition `id`'s events run in (0 when serial).
-  int partition_of(NodeId id) const {
-    return plan_ != nullptr ? plan_->partition_of(id) : 0;
-  }
-
-  /// Per-partition trace streams (parallel to the engine's partitions).
-  /// Components of a node bind tracer_for(id): the node's partition stream
-  /// under PDES, else the run tracer. Install before radios attach.
-  void set_partition_tracers(std::vector<trace::Tracer*> tracers);
-  trace::Tracer* tracer_for(NodeId id) const {
-    if (plan_ == nullptr || part_tracers_.empty()) return trace_.tracer;
-    return part_tracers_[static_cast<std::size_t>(partition_of(id))];
-  }
-
-  /// Monotone count of radio position changes; the World's PDES lookahead
-  /// refresh uses it to skip recomputing the delay matrix when no node
-  /// moved since the last global barrier.
-  std::uint64_t position_epoch() const { return position_epoch_; }
 
   sim::Simulator& simulator() { return sim_; }
   const MediumConfig& config() const { return config_; }
@@ -194,8 +144,8 @@ class Medium {
   Radio* radio(NodeId id) const;
 
   /// Number of receivers transmit() would consider for `source` — the
-  /// reachability-set / sparse-row size under culling, else every other
-  /// radio. Observability for tests and benchmarks.
+  /// reachability-set / sparse-row size in the cached modes, every other
+  /// radio in kDenseReference. Observability for tests and benchmarks.
   std::size_t fanout_candidates(NodeId source) const;
 
   /// kSparse observability: the grid-derived candidate radius (m) and the
@@ -261,12 +211,6 @@ class Medium {
   double dyn_delta_db_ = 0.0;  // model's per-epoch bound; 0 = static
   bool track_watch_ = false;   // dyn_delta_db_ > 0: keep below-floor lists
   std::uint64_t channel_epoch_ = 0;
-  // ---- PDES routing (null/empty on the serial path) ----
-  sim::PdesEngine* engine_ = nullptr;
-  const PartitionPlan* plan_ = nullptr;
-  std::vector<trace::Tracer*> part_tracers_;
-  std::vector<trace::TraceHook> part_hooks_;  // transmit()'s phy_tx records
-  std::uint64_t position_epoch_ = 0;
 };
 
 }  // namespace cmap::phy

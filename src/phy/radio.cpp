@@ -26,7 +26,7 @@ Radio::Radio(sim::Simulator& simulator, Medium& medium, NodeId id,
       capture_ratio_(db_to_linear(config.capture_margin_db)),
       preamble_min_sinr_(db_to_linear(config.preamble_min_sinr_db)) {
   medium_.attach(this);
-  trace_.bind(medium_.tracer_for(id_), id_);
+  trace_.bind(medium_.tracer(), id_);
   metrics_.bind(medium_.metrics(), metrics::Domain::kPhy);
 }
 
@@ -46,8 +46,8 @@ void Radio::transmit(Frame frame) {
     }
     abort_rx();
   }
-  // Sender-derived id (see make_frame_id): identical between the serial
-  // and PDES executives, where a medium-global counter would not be.
+  // Sender-derived id (see make_frame_id): independent of how other
+  // nodes' transmissions interleave, where a medium-global counter is not.
   frame.id = make_frame_id(id_, ++tx_seq_);
   frame.tx_node = id_;
   frame.duration = frame_airtime(frame.rate, frame.size_bytes());

@@ -117,10 +117,6 @@ class Radio {
   /// The medium this radio is attached to (MACs bind their TraceHooks
   /// through it).
   Medium& medium() const { return medium_; }
-  /// The simulator this radio's events run on — the partition simulator
-  /// under PDES, the run simulator otherwise. The medium reads the
-  /// transmit clock from here.
-  sim::Simulator& simulator() const { return sim_; }
   const Position& position() const { return position_; }
   /// Move the radio; the medium re-caches this radio's link gains and
   /// reachability.

@@ -52,7 +52,7 @@ struct Sweep {
   /// names a DIRECTORY; each run writes its snapshot JSON to
   /// `metrics_run_path(path, scenario, spec)`. Metrics never perturb
   /// results, and the counter sections are byte-identical across
-  /// SweepRunner thread counts and PDES partition counts.
+  /// SweepRunner thread counts.
   std::optional<metrics::MetricsConfig> metrics;
 };
 

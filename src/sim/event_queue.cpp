@@ -31,9 +31,7 @@ EventId EventQueue::schedule_ranked(Time at, EventRank rank,
   e.cls = rank.cls;
   e.a = rank.a;
   e.b = rank.b;
-  e.seq = seq_source_ != nullptr
-              ? seq_source_->fetch_add(1, std::memory_order_relaxed)
-              : next_seq_++;
+  e.seq = next_seq_++;
   e.slot = slot;
   heap_.push_back(e);
   std::push_heap(heap_.begin(), heap_.end(), Later{});

@@ -3,15 +3,13 @@
 // slot in a pooled array that holds the event's callable and cancel state,
 // and freed slots are reused, so no sift moves a std::function and no
 // event allocates its own cancel flag. Same-instant ordering is defined by
-// an explicit EventRank rather than raw insertion order, so the serial
-// executive and the partitioned (PDES) executive sort identical keys and
-// produce identical execution orders — the root of the byte-identity
-// contract (docs/pdes.md). Within one rank, events still execute in
-// insertion order (FIFO), which keeps protocol state machines
-// deterministic.
+// an explicit EventRank rather than raw insertion order: dynamics events
+// first, then local events, then deliveries in (frame id, receiver id)
+// order (docs/determinism.md, "Event order"). Within one rank, events
+// still execute in insertion order (FIFO), which keeps protocol state
+// machines deterministic.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -22,16 +20,17 @@ namespace cmap::sim {
 
 /// Deterministic same-tick ordering key. At one instant, events execute by
 /// ascending (cls, a, b), then FIFO. The three classes:
-///   0 (global)   — dynamics/sequencer events (mobility ticks, channel
-///                  epochs). Under PDES these run alone at a barrier, so
-///                  the serial queue must also sort them first.
-///   2 (local)    — MAC timers, signal ends, rx completions. Scheduled
-///                  and executed within one node's partition, where FIFO
-///                  insertion order is itself deterministic.
+///   0 (global)   — dynamics events (mobility ticks, channel epochs).
+///                  They mutate state every node reads (positions, link
+///                  gains), so at one instant they run before any node
+///                  event sees that state.
+///   2 (local)    — MAC timers, signal ends, rx completions: one node's
+///                  own events, where FIFO insertion order is itself
+///                  deterministic.
 ///   3 (delivery) — a frame arriving at a receiver; keyed (frame id,
-///                  receiver id), both intrinsic to the delivery, so the
-///                  order is identical whether the event was scheduled
-///                  locally or drained from a cross-partition mailbox.
+///                  receiver id), both intrinsic to the delivery, so
+///                  same-tick arrivals order by what they are rather than
+///                  by which transmit happened to schedule them first.
 /// Deliveries sort AFTER local events at the same tick on purpose: a
 /// signal-end (or finish_rx) at T must run before a new signal starting
 /// at exactly T, or back-to-back frame trains would overlap for zero
@@ -51,11 +50,9 @@ constexpr EventRank delivery_rank(std::uint64_t frame_id,
   return EventRank{3, frame_id, receiver};
 }
 
-/// The comparable head-of-queue key: what the PDES group scheduler compares
-/// across member queues when a scheduling group interleaves them. Includes
-/// the seq tie-breaker; queues sharing a seq source (set_seq_source) are
-/// therefore merged in exactly the order one serial queue would have popped
-/// the same events.
+/// The comparable head-of-queue key, seq tie-breaker included: drivers
+/// that step the queue themselves (next_key/advance_to/run_one) read the
+/// exact order the queue will pop in.
 struct EventKey {
   Time at = 0;
   EventRank rank;
@@ -98,9 +95,8 @@ class EventId {
   std::uint32_t generation_ = 0;
 };
 
-/// Time-ordered queue of callbacks. Not thread-safe: each queue is driven
-/// by one executive at a time (the whole simulation for the serial path,
-/// one partition window for PDES).
+/// Time-ordered queue of callbacks. Not thread-safe: a queue belongs to
+/// one run, driven by one thread.
 class EventQueue {
  public:
   EventQueue() = default;
@@ -125,7 +121,7 @@ class EventQueue {
   Time next_time();
 
   /// Full ordering key of the earliest pending event; at == kTimeForever
-  /// when empty. The PDES group scheduler merges member queues on this.
+  /// when empty.
   EventKey next_key();
 
   bool empty();
@@ -158,18 +154,6 @@ class EventQueue {
   /// backwards.
   void advance_to(Time t) {
     if (t > current_time_) current_time_ = t;
-  }
-
-  /// Draw seq tie-breakers from a shared counter instead of this queue's
-  /// own. The PDES engine points every partition queue at one counter so
-  /// that when zero lookahead collapses the partitions into a single
-  /// interleaved scheduling group, same-(time, rank) events still execute
-  /// in global insertion order — exactly the serial queue's FIFO. The
-  /// counter is atomic only because independent groups insert concurrently;
-  /// seqs from different groups are never compared (their events commute),
-  /// so the racy numbering is unobservable.
-  void set_seq_source(std::atomic<std::uint64_t>* source) {
-    seq_source_ = source;
   }
 
  private:
@@ -224,7 +208,6 @@ class EventQueue {
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
   std::uint64_t next_seq_ = 0;
-  std::atomic<std::uint64_t>* seq_source_ = nullptr;
   std::uint64_t executed_ = 0;
   std::size_t depth_high_water_ = 0;
   std::uint64_t compactions_ = 0;

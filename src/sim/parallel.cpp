@@ -58,63 +58,4 @@ void parallel_for(int threads, std::size_t count,
   if (first_error) std::rethrow_exception(first_error);
 }
 
-WorkerCrew::WorkerCrew(int threads) {
-  if (threads <= 1) return;
-  workers_.reserve(static_cast<std::size_t>(threads));
-  for (int t = 0; t < threads; ++t) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
-}
-
-WorkerCrew::~WorkerCrew() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    shutdown_ = true;
-  }
-  wake_.notify_all();
-  for (auto& w : workers_) w.join();
-}
-
-void WorkerCrew::run(std::size_t count,
-                     const std::function<void(std::size_t)>& fn) {
-  if (count == 0) return;
-  if (workers_.empty()) {
-    // Inline mode: index order on the calling thread, fully deterministic.
-    for (std::size_t i = 0; i < count; ++i) fn(i);
-    return;
-  }
-  std::unique_lock<std::mutex> lock(mutex_);
-  fn_ = &fn;
-  count_ = count;
-  next_index_ = 0;
-  finished_ = 0;
-  ++generation_;
-  wake_.notify_all();
-  done_.wait(lock, [this] { return finished_ == count_; });
-  // All indices claimed and completed; quiesce so a spuriously woken
-  // worker finds no work.
-  fn_ = nullptr;
-  count_ = 0;
-  next_index_ = 0;
-}
-
-void WorkerCrew::worker_loop() {
-  std::uint64_t seen = 0;
-  std::unique_lock<std::mutex> lock(mutex_);
-  for (;;) {
-    wake_.wait(lock, [&] { return shutdown_ || generation_ != seen; });
-    if (shutdown_) return;
-    seen = generation_;
-    while (next_index_ < count_) {
-      const std::size_t i = next_index_++;
-      const auto* fn = fn_;
-      lock.unlock();
-      (*fn)(i);
-      lock.lock();
-      ++finished_;
-      if (finished_ == count_) done_.notify_one();
-    }
-  }
-}
-
 }  // namespace cmap::sim

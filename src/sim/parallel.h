@@ -5,23 +5,14 @@
 // the set of executed indices is not. Callers that need deterministic
 // results must make each item's output depend only on its index (disjoint
 // output slots, substream-derived randomness), which is the repo-wide
-// convention.
-//
-// WorkerCrew adds the persistent variant the PDES engine needs: the engine
-// dispatches one small batch of partition windows per synchronization
-// round, thousands of rounds per run, so spawning threads per batch (what
-// parallel_for does) would dominate. A crew parks its workers on a
-// condition variable between batches instead. This file (with sim/log.*)
-// is the blessed home for raw threads — tools/cmap_lint's raw-thread rule
-// allows them nowhere else.
+// convention. This is the repo's only parallelism: independent runs and
+// measurement rows go wide, while one run executes on one thread. This
+// file (with sim/log.*) is the blessed home for raw threads —
+// tools/cmap_lint's raw-thread rule allows them nowhere else.
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
 #include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace cmap::sim {
 
@@ -36,45 +27,5 @@ int default_thread_count();
 /// the first exception is rethrown on the calling thread.
 void parallel_for(int threads, std::size_t count,
                   const std::function<void(std::size_t)>& fn);
-
-/// A persistent pool of parked workers for many small batches. run()
-/// publishes a batch, wakes the crew, and returns once every index has
-/// been claimed and finished — a full barrier, which doubles as the
-/// happens-before edge PDES rounds rely on: everything workers wrote
-/// during a batch is visible to the caller after run(), and everything the
-/// caller wrote before run() is visible to the workers.
-///
-/// With `threads` <= 1 no thread is ever created and run() executes the
-/// batch inline in index order — the deterministic mode golden tests use.
-/// Indices are claimed via an atomic counter either way, so items must be
-/// independent (the parallel_for contract above).
-class WorkerCrew {
- public:
-  explicit WorkerCrew(int threads);
-  ~WorkerCrew();
-  WorkerCrew(const WorkerCrew&) = delete;
-  WorkerCrew& operator=(const WorkerCrew&) = delete;
-
-  /// Worker threads actually running (0 in inline mode).
-  int threads() const { return static_cast<int>(workers_.size()); }
-
-  /// Run `fn(i)` for every i in [0, count); blocks until all complete.
-  /// `fn` must not throw (simulation events abort on error by contract).
-  void run(std::size_t count, const std::function<void(std::size_t)>& fn);
-
- private:
-  void worker_loop();
-
-  std::mutex mutex_;
-  std::condition_variable wake_;
-  std::condition_variable done_;
-  std::uint64_t generation_ = 0;  // bumped per batch to wake the crew
-  std::size_t next_index_ = 0;
-  std::size_t count_ = 0;
-  std::size_t finished_ = 0;
-  const std::function<void(std::size_t)>* fn_ = nullptr;
-  bool shutdown_ = false;
-  std::vector<std::thread> workers_;
-};
 
 }  // namespace cmap::sim

@@ -109,7 +109,7 @@ class SweepReport {
 
   /// The per-sweep aggregated metrics table: one aligned counter line per
   /// (scheme, variant) group, then the sweep-wide aggregate. Counter rows
-  /// only — deterministic across thread and partition counts.
+  /// only — deterministic across thread counts.
   void print_metrics(std::FILE* out = stdout) const;
 
   /// Deterministic JSON of the aggregated counter sections, keyed by group

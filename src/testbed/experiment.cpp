@@ -65,41 +65,6 @@ World::World(const Testbed& tb, const RunConfig& config)
     registry_ = std::make_unique<metrics::Registry>(config_.metrics->domains);
     medium_.set_metrics(registry_.get());
   }
-  if (config_.pdes.partitions > 1) {
-    std::vector<phy::Position> positions;
-    positions.reserve(static_cast<std::size_t>(tb_.size()));
-    for (int i = 0; i < tb_.size(); ++i) {
-      positions.push_back(tb_.position(static_cast<phy::NodeId>(i)));
-    }
-    plan_ = phy::make_partition_plan(positions, config_.pdes.partitions);
-    engine_ = std::make_unique<sim::PdesEngine>(sim_, plan_.count,
-                                                config_.pdes.threads);
-    medium_.set_pdes(engine_.get(), &plan_);
-    if (tracer_ != nullptr) {
-      std::vector<trace::Tracer*> tracers;
-      for (int p = 0; p < plan_.count; ++p) {
-        trace::TraceConfig tc = *config_.trace;
-        tc.path += ".p" + std::to_string(p);
-        part_tracers_.push_back(std::make_unique<trace::Tracer>(tc));
-        tracers.push_back(part_tracers_.back().get());
-      }
-      medium_.set_partition_tracers(std::move(tracers));
-      // Each Tracer constructor made itself thread-active; put the run
-      // tracer back for everything outside a partition scope.
-      active_restore_.emplace(tracer_.get());
-    }
-    engine_->set_partition_scope([this](int p) -> std::shared_ptr<void> {
-      trace::Tracer* t =
-          p < 0 || part_tracers_.empty()
-              ? tracer_.get()
-              : part_tracers_[static_cast<std::size_t>(p)].get();
-      return std::make_shared<trace::ScopedActive>(t);
-    });
-    engine_->set_topology_refresh([this] { refresh_pdes_delays(); });
-    // Stall attribution reads a wall clock; only pay for it when metrics
-    // were asked for.
-    if (registry_ != nullptr) engine_->enable_profiling();
-  }
   if (config_.dynamics &&
       (config_.dynamics->mobility || config_.dynamics->channel)) {
     // Resolve defaults in place so config() reports the effective values.
@@ -119,49 +84,7 @@ World::World(const Testbed& tb, const RunConfig& config)
   }
 }
 
-sim::Simulator& World::node_simulator(phy::NodeId id) {
-  if (engine_ == nullptr) return sim_;
-  return engine_->partition_sim(plan_.partition_of(id));
-}
-
-void World::refresh_pdes_delays() {
-  if (engine_ == nullptr) return;
-  if (!medium_.config().enable_propagation_delay) {
-    // Deliveries are instantaneous: zero lookahead everywhere, so all
-    // partitions form one merged (serially interleaved) scheduling group.
-    // Install once; positions cannot change that.
-    if (!pdes_delays_valid_) {
-      pdes_delays_valid_ = true;
-      engine_->set_min_delays(std::vector<sim::Time>(
-          static_cast<std::size_t>(plan_.count) *
-              static_cast<std::size_t>(plan_.count),
-          0));
-    }
-    return;
-  }
-  if (pdes_delays_valid_ && medium_.position_epoch() == pdes_epoch_) return;
-  pdes_delays_valid_ = true;
-  pdes_epoch_ = medium_.position_epoch();
-  std::vector<int> parts;
-  std::vector<phy::Position> positions;
-  parts.reserve(medium_.radios().size());
-  positions.reserve(medium_.radios().size());
-  for (const phy::Radio* r : medium_.radios()) {
-    parts.push_back(plan_.partition_of(r->id()));
-    positions.push_back(r->position());
-  }
-  engine_->set_min_delays(
-      phy::min_cross_delays(parts, positions, plan_.count));
-}
-
-void World::run(sim::Time until) {
-  if (engine_ == nullptr) {
-    sim_.run_until(until);
-    return;
-  }
-  refresh_pdes_delays();
-  engine_->run_until(until);
-}
+void World::run(sim::Time until) { sim_.run_until(until); }
 
 void World::add_node(phy::NodeId id) {
   if (nodes_.count(id)) return;
@@ -169,8 +92,7 @@ void World::add_node(phy::NodeId id) {
   phy::RadioConfig rc = tb_.config().radio;
   // Integrated salvage (PPR) is a radio capability of that scheme.
   rc.salvage_enabled = config_.scheme == Scheme::kCmapIntegrated;
-  sim::Simulator& nsim = node_simulator(id);
-  st.radio = std::make_unique<phy::Radio>(nsim, medium_, id, tb_.position(id),
+  st.radio = std::make_unique<phy::Radio>(sim_, medium_, id, tb_.position(id),
                                           rc, tb_.error_model(),
                                           rng_.substream(0x4ad10, id));
 
@@ -188,17 +110,17 @@ void World::add_node(phy::NodeId id) {
     cc.per_dest_queues = config_.per_dest_queues;
     cc.annotate_rates = config_.annotate_rates;
     cc.decision_mode = config_.cmap.decision_mode;
-    st.mac = std::make_unique<core::CmapMac>(nsim, *st.radio, cc,
+    st.mac = std::make_unique<core::CmapMac>(sim_, *st.radio, cc,
                                              rng_.substream(0x3ac, id));
   } else {
     mac80211::DcfConfig dc;
     dc.carrier_sense = config_.scheme == Scheme::kCsma;
     dc.acks = config_.scheme != Scheme::kCsmaOffNoAcks;
     dc.data_rate = config_.data_rate;
-    st.mac = std::make_unique<mac80211::DcfMac>(nsim, *st.radio, dc,
+    st.mac = std::make_unique<mac80211::DcfMac>(sim_, *st.radio, dc,
                                                 rng_.substream(0x3ac, id));
   }
-  st.sink = std::make_unique<net::PacketSink>(*st.mac, nsim);
+  st.sink = std::make_unique<net::PacketSink>(*st.mac, sim_);
   st.sink->set_window(config_.warmup, config_.duration);
   nodes_[id] = std::move(st);
 }
@@ -234,43 +156,9 @@ metrics::MetricsSnapshot World::metrics_snapshot() {
     snap.counters[i] =
         registry_->value(static_cast<metrics::Counter>(i));
   }
-  snap.threads = config_.pdes.threads;
-  if (engine_ == nullptr) {
-    snap.partitions = 1;
-    snap.queue_depth_high_water = sim_.queue().depth_high_water();
-    snap.queue_compactions = sim_.queue().compactions();
-    metrics::PartitionExec pe;
-    pe.partition = 0;
-    pe.executed = sim_.queue().executed();
-    snap.parts.push_back(pe);
-    return snap;
-  }
-  snap.partitions = engine_->partitions();
+  snap.events_executed = sim_.events_executed();
   snap.queue_depth_high_water = sim_.queue().depth_high_water();
   snap.queue_compactions = sim_.queue().compactions();
-  const sim::PdesExecStats& es = engine_->exec_stats();
-  snap.rounds = engine_->rounds();
-  snap.global_barriers = es.global_barriers;
-  snap.merged_windows = es.merged_windows;
-  snap.window_log2 = es.window_log2;
-  snap.parallel_wall_ms = static_cast<double>(es.parallel_ns) / 1e6;
-  for (int p = 0; p < engine_->partitions(); ++p) {
-    sim::EventQueue& q = engine_->partition_sim(p).queue();
-    if (q.depth_high_water() > snap.queue_depth_high_water) {
-      snap.queue_depth_high_water = q.depth_high_water();
-    }
-    snap.queue_compactions += q.compactions();
-    metrics::PartitionExec pe;
-    pe.partition = p;
-    pe.executed = q.executed();
-    pe.mailbox_posted = engine_->mailbox_posted(p);
-    pe.busy_ms =
-        static_cast<double>(es.busy_ns[static_cast<std::size_t>(p)]) / 1e6;
-    pe.barrier_wait_ms = snap.parallel_wall_ms > pe.busy_ms
-                             ? snap.parallel_wall_ms - pe.busy_ms
-                             : 0.0;
-    snap.parts.push_back(pe);
-  }
   return snap;
 }
 

@@ -15,9 +15,7 @@
 #include "metrics/metrics.h"
 #include "net/traffic.h"
 #include "phy/medium.h"
-#include "phy/partition.h"
 #include "phy/radio.h"
-#include "sim/pdes.h"
 #include "sim/simulator.h"
 #include "testbed/testbed.h"
 #include "trace/trace.h"
@@ -74,22 +72,14 @@ struct RunConfig {
   // Event tracing: when set (and the path non-empty), the World opens a
   // Tracer over the configured categories and every subsystem streams into
   // it. Tracing never draws randomness or schedules events, so a traced
-  // run's results are identical to an untraced one's. Under PDES each
-  // partition additionally gets its own stream at `path + ".p<N>"`
-  // (trace::merge_streams reassembles one time-ordered file).
+  // run's results are identical to an untraced one's.
   std::optional<trace::TraceConfig> trace;
   // Run-level metrics (metrics/metrics.h): when set, the World owns a
-  // counter Registry every subsystem hooks into, and — under PDES — the
-  // engine records stall attribution. Like tracing, metrics never draw
-  // randomness or schedule events, so a metered run's results are
-  // identical to an unmetered one's; the counter section is additionally
-  // byte-identical across partition and thread counts.
+  // counter Registry every subsystem hooks into. Like tracing, metrics
+  // never draw randomness or schedule events, so a metered run's results
+  // are identical to an unmetered one's; the counter section is
+  // additionally byte-identical across SweepRunner thread counts.
   std::optional<metrics::MetricsConfig> metrics;
-  // Intra-run parallel execution (sim/pdes.h, docs/pdes.md). partitions <=
-  // 1 keeps the single-queue serial path — the reference oracle PDES runs
-  // are golden-tested byte-identical against. Results never depend on
-  // partitions or threads.
-  sim::PdesOptions pdes;
 
   // ---- Fluent builders ----
   // Each returns *this, so configurations read as one expression:
@@ -131,9 +121,6 @@ struct RunConfig {
     metrics = std::move(v);
     return *this;
   }
-  RunConfig& with_pdes(sim::PdesOptions v) { pdes = v; return *this; }
-  RunConfig& with_partitions(int v) { pdes.partitions = v; return *this; }
-  RunConfig& with_pdes_threads(int v) { pdes.threads = v; return *this; }
 };
 
 /// A live simulation world. Benches with bespoke needs (mesh phases,
@@ -155,16 +142,12 @@ class World {
   /// Set every sink's measurement window.
   void set_measurement_window(sim::Time begin, sim::Time end);
 
-  /// Drive the world to `until`: the PDES engine when
-  /// config().pdes.partitions > 1, else the serial simulator.
+  /// Drive the world to `until` (events at exactly `until` run). Runs
+  /// may be split into chunks: run(a); run(b) equals run(b).
   void run(sim::Time until);
 
-  /// The run (global-sequencer) simulator. Under PDES, per-node events
-  /// live on partition simulators instead — drive partial runs through
-  /// run(), not this.
+  /// The run's simulator: every node and dynamics event lives on it.
   sim::Simulator& simulator() { return sim_; }
-  /// The engine, when this run is partitioned (else nullptr).
-  sim::PdesEngine* pdes() { return engine_.get(); }
   mac::Mac& mac(phy::NodeId id);
   net::PacketSink& sink(phy::NodeId id);
   core::CmapMac* cmap(phy::NodeId id);          // nullptr for DCF schemes
@@ -180,8 +163,8 @@ class World {
   /// nullptr).
   metrics::Registry* metrics() const { return registry_.get(); }
   /// Assemble the full snapshot: the registry's counter section plus the
-  /// execution profile (queue depths, PDES stall attribution). Meaningful
-  /// any time, but normally taken after run().
+  /// execution profile (event queue facts). Meaningful any time, but
+  /// normally taken after run().
   metrics::MetricsSnapshot metrics_snapshot();
 
  private:
@@ -193,13 +176,6 @@ class World {
     std::unique_ptr<net::BatchSource> batch;
   };
 
-  /// The simulator `id`'s components schedule on: its partition's under
-  /// PDES, the run simulator otherwise.
-  sim::Simulator& node_simulator(phy::NodeId id);
-  /// Recompute the engine's lookahead matrix from the attached radios'
-  /// current positions (no-op when nothing moved since the last call).
-  void refresh_pdes_delays();
-
   const Testbed& tb_;
   RunConfig config_;
   sim::Simulator sim_;
@@ -210,19 +186,6 @@ class World {
   // Owns the run's counter registry; bound into medium_ alongside the
   // tracer, before any hook caches it.
   std::unique_ptr<metrics::Registry> registry_;
-  // PDES state (empty/null on the serial path). Declared before medium_
-  // (which routes deliveries through the engine) and nodes_ (whose radios
-  // live on the engine's partition simulators).
-  phy::PartitionPlan plan_;
-  std::unique_ptr<sim::PdesEngine> engine_;
-  std::vector<std::unique_ptr<trace::Tracer>> part_tracers_;
-  // Constructing the partition tracers leaves the last one thread-active;
-  // this restores the run tracer for code running outside a partition
-  // scope (setup, barriers). Declared after part_tracers_ so it unwinds
-  // first.
-  std::optional<trace::ScopedActive> active_restore_;
-  std::uint64_t pdes_epoch_ = 0;
-  bool pdes_delays_valid_ = false;
   // Per-run channel wrapper (nullptr without channel dynamics); must
   // outlive and precede medium_, which holds it as its propagation model.
   std::shared_ptr<dynamics::DynamicShadowing> channel_;

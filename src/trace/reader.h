@@ -114,9 +114,9 @@ class TraceReader {
   bool next(Record* out);
 
   /// Payload bytes of the record most recently returned by next(), valid
-  /// until the next call. merge_streams re-emits these verbatim so field
-  /// round-tripping (e.g. the move record's mm quantization) cannot perturb
-  /// a merged stream.
+  /// until the next call. trace_diff compares these verbatim so field
+  /// round-tripping (e.g. the move record's mm quantization) cannot mask a
+  /// difference.
   const std::uint8_t* raw_body() const { return bytes_.data() + raw_pos_; }
   std::size_t raw_size() const { return raw_size_; }
 

@@ -119,12 +119,6 @@ void MemoryTraceSink::write(const void* data, std::size_t size) {
 
 Tracer* Tracer::thread_active() { return g_thread_tracer; }
 
-ScopedActive::ScopedActive(Tracer* tracer) : prev_(g_thread_tracer) {
-  g_thread_tracer = tracer;
-}
-
-ScopedActive::~ScopedActive() { g_thread_tracer = prev_; }
-
 Tracer::Tracer(const TraceConfig& config, std::unique_ptr<TraceSink> sink)
     : config_(config), sink_(std::move(sink)) {
   for (std::uint32_t every : config_.sample_every) {
@@ -274,13 +268,6 @@ void Tracer::channel_epoch(sim::Time now, std::uint64_t epoch) {
   body_.clear();
   wire::put_varint(body_, epoch);
   emit(Category::kChannelEpoch, now);
-}
-
-void Tracer::emit_raw(Category c, sim::Time now, const std::uint8_t* body,
-                      std::size_t size) {
-  if (!wants(c) || !sample(c)) return;
-  body_.assign(body, body + size);
-  emit(c, now);
 }
 
 void Tracer::log(sim::Time now, std::uint32_t level,

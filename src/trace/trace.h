@@ -204,12 +204,6 @@ class Tracer {
   void log(sim::Time now, std::uint32_t level, std::string_view component,
            std::string_view message);
 
-  /// Re-emit an already-encoded record payload verbatim (merge_streams):
-  /// only the length prefix and tick delta are re-encoded against this
-  /// stream's position. Masking and sampling still apply.
-  void emit_raw(Category c, sim::Time now, const std::uint8_t* body,
-                std::size_t size);
-
  private:
   bool sample(Category c);
   void emit(Category c, sim::Time now);
@@ -223,23 +217,6 @@ class Tracer {
   std::vector<std::uint8_t> head_;    // category + tick delta
   std::vector<std::uint8_t> prefix_;  // length varint
   Tracer* prev_thread_active_ = nullptr;
-};
-
-/// RAII: make `tracer` (may be null) the calling thread's active tracer
-/// for the scope, exactly as a Tracer's own constructor does on the thread
-/// that built it. The PDES engine's partition scope holds one of these
-/// while a worker executes a partition window, so sim::log_line calls from
-/// node code route into that partition's stream; the destructor restores
-/// whatever was active before.
-class ScopedActive {
- public:
-  explicit ScopedActive(Tracer* tracer);
-  ~ScopedActive();
-  ScopedActive(const ScopedActive&) = delete;
-  ScopedActive& operator=(const ScopedActive&) = delete;
-
- private:
-  Tracer* prev_;
 };
 
 /// The per-component handle instrumentation sites check. `mask` caches the

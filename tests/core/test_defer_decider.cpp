@@ -84,7 +84,7 @@ class FuzzHarness {
   }
 
   void note_random() {
-    VpDescriptor d;
+    VpFields d;
     d.src = random_node(rng_);
     d.dst = random_node(rng_, /*allow_broadcast=*/true);
     d.data_rate = random_rate(rng_, /*allow_any=*/false);
@@ -205,7 +205,7 @@ TEST(DeferDecider, IdleChannelNeverDefers) {
 TEST(DeferDecider, OwnTransmissionIsIgnored) {
   DeferTable t(sim::seconds(10));
   OngoingList l;
-  VpDescriptor mine;
+  VpFields mine;
   mine.src = kSelf;
   mine.dst = 3;
   l.note(mine, sim::seconds(1));
@@ -217,11 +217,11 @@ TEST(DeferDecider, OwnTransmissionIsIgnored) {
 TEST(DeferDecider, BusyDestinationDefersUntilEarliestConflictEnds) {
   DeferTable t(sim::seconds(10));
   OngoingList l;
-  VpDescriptor a;  // 4 -> 3 until 5 ms
+  VpFields a;  // 4 -> 3 until 5 ms
   a.src = 4;
   a.dst = 3;
   l.note(a, sim::milliseconds(5));
-  VpDescriptor b;  // 3 -> 6 until 2 ms: destination 3 is busy twice over
+  VpFields b;  // 3 -> 6 until 2 ms: destination 3 is busy twice over
   b.src = 3;
   b.dst = 6;
   l.note(b, sim::milliseconds(2));
@@ -243,7 +243,7 @@ TEST(DeferDecider, ConflictMapEntryDefersForUninvolvedDestination) {
   e.source = 1;
   e.interferer = kSelf;
   t.apply_interferer_list(kSelf, 2, {e}, 0);
-  VpDescriptor d12;  // the victim transmission 1 -> 2 is on the air
+  VpFields d12;  // the victim transmission 1 -> 2 is on the air
   d12.src = 1;
   d12.dst = 2;
   l.note(d12, sim::milliseconds(8));

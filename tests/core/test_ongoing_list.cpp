@@ -5,8 +5,8 @@
 namespace cmap::core {
 namespace {
 
-VpDescriptor desc(phy::NodeId src, phy::NodeId dst) {
-  VpDescriptor d;
+VpFields desc(phy::NodeId src, phy::NodeId dst) {
+  VpFields d;
   d.src = src;
   d.dst = dst;
   return d;
@@ -73,7 +73,7 @@ TEST(OngoingList, DifferentPairsCoexist) {
 
 TEST(OngoingList, RateIsTracked) {
   OngoingList l;
-  VpDescriptor d = desc(1, 2);
+  VpFields d = desc(1, 2);
   d.data_rate = phy::WifiRate::k18Mbps;
   l.note(d, sim::milliseconds(60));
   EXPECT_EQ(l.active(0).at(0).data_rate, phy::WifiRate::k18Mbps);

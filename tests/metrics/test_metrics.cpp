@@ -88,19 +88,15 @@ TEST(Snapshot, CountersJsonIsFixedOrderAndDomainFiltered) {
 TEST(Snapshot, ToJsonCarriesBothSections) {
   MetricsSnapshot snap;
   snap.domains = kAllDomains;
-  snap.partitions = 4;
-  snap.rounds = 17;
-  snap.window_log2[20] = 3;
-  PartitionExec pe;
-  pe.partition = 2;
-  pe.executed = 1234;
-  snap.parts.push_back(pe);
+  snap.events_executed = 1234;
+  snap.queue_depth_high_water = 17;
+  snap.queue_compactions = 3;
   const std::string json = snap.to_json();
   EXPECT_NE(json.find("\"counters\":{"), std::string::npos);
   EXPECT_NE(json.find("\"execution\":{"), std::string::npos);
-  EXPECT_NE(json.find("\"partitions\":4"), std::string::npos);
-  EXPECT_NE(json.find("\"rounds\":17"), std::string::npos);
-  EXPECT_NE(json.find("\"executed\":1234"), std::string::npos);
+  EXPECT_NE(json.find("\"events_executed\":1234"), std::string::npos);
+  EXPECT_NE(json.find("\"queue_depth_high_water\":17"), std::string::npos);
+  EXPECT_NE(json.find("\"queue_compactions\":3"), std::string::npos);
 }
 
 TEST(Aggregate, SumsCountersAndKeepsMaxes) {
@@ -153,8 +149,7 @@ TEST(WorldMetrics, MeteredRunProducesPopulatedSnapshotAndFile) {
   EXPECT_GT(snap.counter(Counter::kPhyDeliveries), 0u);
   EXPECT_GT(snap.counter(Counter::kMacSendDecisions), 0u);
   EXPECT_GT(snap.queue_depth_high_water, 0u);
-  ASSERT_EQ(snap.parts.size(), 1u);  // serial run: one pseudo-partition
-  EXPECT_GT(snap.parts[0].executed, 0u);
+  EXPECT_GT(snap.events_executed, 0u);
 
   // Defer-reason attribution can never exceed the decision count, and
   // rx outcomes can never exceed deliveries.

@@ -1,13 +1,12 @@
 // The metrics determinism contract (docs/metrics.md): the deterministic
 // counter section is a pure function of (config, seed) — byte-identical
-// across SweepRunner worker-thread counts AND across PDES partition counts
-// (1/2/4). Counters are commutative relaxed-atomic sums and maxes over
-// events the simulation itself fully determines, so the execution strategy
-// must not leak into them; anything that legitimately depends on it lives
-// in the snapshot's execution section, which this test deliberately does
-// not compare. Exercised on a static scenario (fig12_exposed) and a
-// mobility scenario (mobile_floor_25, whose dynamics ticks drive the
-// kDynamics counters and the PDES global-barrier path).
+// across SweepRunner worker-thread counts. Counters are commutative sums
+// and maxes over events the simulation itself fully determines, so the
+// execution strategy must not leak into them; anything that legitimately
+// depends on it lives in the snapshot's execution section, which this test
+// deliberately does not compare. Exercised on a static scenario
+// (fig12_exposed) and a mobility scenario (mobile_floor_25, whose dynamics
+// ticks drive the kDynamics counters).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -29,8 +28,8 @@ struct CounterBytes {
   std::string aggregated;
 };
 
-CounterBytes run_counters(const std::string& scenario_name, int sweep_threads,
-                          int partitions, int pdes_threads) {
+CounterBytes run_counters(const std::string& scenario_name,
+                          int sweep_threads) {
   const scenario::Scenario& s =
       scenario::ScenarioRegistry::global().at(scenario_name);
   scenario::Sweep sweep;
@@ -41,13 +40,6 @@ CounterBytes run_counters(const std::string& scenario_name, int sweep_threads,
                                                    : sim::milliseconds(400);
   sweep.warmup = *sweep.duration / 4;
   sweep.metrics = MetricsConfig{};  // in-memory only
-  if (partitions > 1) {
-    sweep.variants = {scenario::ConfigVariant{
-        "", [partitions, pdes_threads](testbed::RunConfig& rc) {
-          rc.pdes.partitions = partitions;
-          rc.pdes.threads = pdes_threads;
-        }}};
-  }
   const testbed::TestbedConfig cfg =
       s.testbed ? *s.testbed : testbed::TestbedConfig{};
   const auto tb = testbed::TestbedCache::global().get(cfg);
@@ -65,26 +57,15 @@ CounterBytes run_counters(const std::string& scenario_name, int sweep_threads,
 class MetricsGolden : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(MetricsGolden, CounterSectionIsByteIdenticalAcrossThreadCounts) {
-  const CounterBytes one = run_counters(GetParam(), 1, 1, 1);
+  const CounterBytes one = run_counters(GetParam(), 1);
   ASSERT_FALSE(one.per_run.empty());
   for (const auto& json : one.per_run) {
     EXPECT_FALSE(json.empty());
     EXPECT_NE(json.find("phy.transmits"), std::string::npos);
   }
-  const CounterBytes four = run_counters(GetParam(), 4, 1, 1);
+  const CounterBytes four = run_counters(GetParam(), 4);
   EXPECT_EQ(one.per_run, four.per_run);
   EXPECT_EQ(one.aggregated, four.aggregated);
-}
-
-TEST_P(MetricsGolden, CounterSectionIsByteIdenticalAcrossPartitionCounts) {
-  const CounterBytes serial = run_counters(GetParam(), 1, 1, 1);
-  ASSERT_FALSE(serial.per_run.empty());
-  const CounterBytes p2 = run_counters(GetParam(), 1, 2, 1);
-  const CounterBytes p4 = run_counters(GetParam(), 1, 4, 2);
-  EXPECT_EQ(serial.per_run, p2.per_run);
-  EXPECT_EQ(serial.per_run, p4.per_run);
-  EXPECT_EQ(serial.aggregated, p2.aggregated);
-  EXPECT_EQ(serial.aggregated, p4.aggregated);
 }
 
 INSTANTIATE_TEST_SUITE_P(Scenarios, MetricsGolden,

@@ -144,8 +144,7 @@ TEST(Medium, FastAndReferencePathsProduceIdenticalOutcomes) {
   // must reproduce the brute-force path delivery for delivery.
   auto run_once = [](bool fast_path) {
     MediumConfig mcfg;  // fading ON (default sigma 2 dB)
-    mcfg.enable_gain_cache = fast_path;
-    mcfg.enable_culling = fast_path;
+    if (!fast_path) mcfg.link_state = LinkStateMode::kDenseReference;
     World w(nist(), mcfg);
     Radio& a = w.add_radio(1, {0, 0});
     w.add_radio(2, {320, 0});      // marginal link, fading decides
@@ -314,19 +313,6 @@ TEST(MediumInvalidate, RefreshAllReconcilesAChangedChannel) {
 }
 
 // ---- Sparse link state (LinkStateMode::kSparse) ----
-
-TEST(MediumConfigMode, DeprecatedBoolsMapOntoLinkStateMode) {
-  MediumConfig m;
-  EXPECT_EQ(m.effective_mode(), LinkStateMode::kDenseCached);
-  m.enable_gain_cache = false;
-  EXPECT_EQ(m.effective_mode(), LinkStateMode::kDenseReference);
-  // An explicit sparse request wins over the legacy bools.
-  m.link_state = LinkStateMode::kSparse;
-  EXPECT_EQ(m.effective_mode(), LinkStateMode::kSparse);
-  m = MediumConfig{};
-  m.link_state = LinkStateMode::kDenseReference;
-  EXPECT_EQ(m.effective_mode(), LinkStateMode::kDenseReference);
-}
 
 MediumConfig SparseNoFadingConfig() {
   MediumConfig m = World::NoFadingConfig();

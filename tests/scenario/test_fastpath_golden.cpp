@@ -17,8 +17,7 @@ namespace {
 
 testbed::Testbed make_testbed(bool fast_path, double fading_sigma_db) {
   testbed::TestbedConfig cfg;
-  cfg.medium.enable_gain_cache = fast_path;
-  cfg.medium.enable_culling = fast_path;
+  if (!fast_path) cfg.medium.link_state = phy::LinkStateMode::kDenseReference;
   cfg.medium.fading_sigma_db = fading_sigma_db;
   // With fading enabled, identity holds unless a fade beats the guard
   // band; at the default 6 sigma that is ~1e-9 per culled delivery, which

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "scenario/registry.h"
 #include "testbed/topology_picker.h"
 
 namespace cmap::testbed {
@@ -130,6 +135,102 @@ TEST(Experiment, WorldExposesComponentsForBespokeScenarios) {
   world.run(sim::seconds(1));
   EXPECT_GT(world.sink(f.dst).unique_packets(), 100u);
 }
+
+// ---- Chunked runs ----
+// World::run may be driven in chunks, and a driver may step the queue
+// itself through next_key/advance_to/run_one (perfbench's per-event-class
+// timer does). Either way the run must execute exactly the events of one
+// World::run(duration): same per-flow goodput, event count and counters.
+
+enum class Drive { kWhole, kChunked, kStepped };
+
+struct RunFacts {
+  std::vector<std::uint64_t> unique_packets;
+  std::vector<double> mbps;
+  std::uint64_t events = 0;
+  metrics::MetricsSnapshot snapshot;
+};
+
+constexpr sim::Time kChunk = sim::milliseconds(5);
+
+void step_until(World& world, sim::Time until) {
+  sim::EventQueue& queue = world.simulator().queue();
+  while (queue.next_key().at <= until) queue.run_one();
+  queue.advance_to(until);
+}
+
+RunFacts drive_scenario(const std::string& name, Scheme scheme, Drive drive) {
+  const scenario::Scenario& s = scenario::ScenarioRegistry::global().at(name);
+  const auto tb =
+      TestbedCache::global().get(s.testbed ? *s.testbed : TestbedConfig{});
+  sim::Rng topo_rng(3);
+  const auto topologies = s.topology(*tb, 1, topo_rng);
+  EXPECT_FALSE(topologies.empty());
+  if (topologies.empty()) return {};
+  const std::vector<Flow>& flows = topologies.front().flows;
+
+  RunConfig rc = s.defaults;
+  rc.scheme = scheme;
+  rc.seed = 11;
+  rc.duration = sim::milliseconds(1600);
+  rc.warmup = sim::milliseconds(400);
+  rc.metrics = metrics::MetricsConfig{};
+  World world(*tb, rc);
+  for (const Flow& f : flows) world.add_saturated_flow(f.src, f.dst);
+  if (drive == Drive::kWhole) {
+    world.run(rc.duration);
+  } else {
+    for (sim::Time until = 0; until < rc.duration;) {
+      until = std::min(until + kChunk, rc.duration);
+      if (drive == Drive::kChunked) {
+        world.run(until);
+      } else {
+        step_until(world, until);
+      }
+    }
+  }
+
+  RunFacts facts;
+  for (const Flow& f : flows) {
+    facts.unique_packets.push_back(world.sink(f.dst).unique_packets());
+    facts.mbps.push_back(world.sink(f.dst).meter().mbps());
+  }
+  facts.events = world.simulator().events_executed();
+  facts.snapshot = world.metrics_snapshot();
+  return facts;
+}
+
+class ChunkedRun : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(ChunkedRun, MatchesOneWholeRun) {
+  for (const Scheme scheme : {Scheme::kCsma, Scheme::kCmap}) {
+    SCOPED_TRACE(scheme_name(scheme));
+    const RunFacts whole = drive_scenario(GetParam(), scheme, Drive::kWhole);
+    ASSERT_GT(whole.events, 0u);
+    ASSERT_FALSE(whole.unique_packets.empty());
+    for (const Drive drive : {Drive::kChunked, Drive::kStepped}) {
+      const RunFacts part = drive_scenario(GetParam(), scheme, drive);
+      EXPECT_EQ(part.unique_packets, whole.unique_packets);
+      EXPECT_EQ(part.mbps, whole.mbps);
+      EXPECT_EQ(part.events, whole.events);
+      EXPECT_EQ(part.snapshot.counters_json(), whole.snapshot.counters_json());
+    }
+  }
+}
+
+TEST(ChunkedRunSetup, MobileFloorRunsGlobalEvents) {
+  // The mobile case only covers global-rank events if it has some.
+  const RunFacts facts =
+      drive_scenario("mobile_floor_25", Scheme::kCmap, Drive::kWhole);
+  EXPECT_GT(facts.snapshot.counter(metrics::Counter::kDynChannelEpochs), 0u);
+  EXPECT_GT(facts.snapshot.counter(metrics::Counter::kDynMoves), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Scenarios, ChunkedRun,
+                         ::testing::Values("fig12_exposed", "mobile_floor_25"),
+                         [](const ::testing::TestParamInfo<std::string>& i) {
+                           return i.param;
+                         });
 
 }  // namespace
 }  // namespace cmap::testbed

@@ -6,7 +6,7 @@ JSONs with a trailing "timing"-scheme row each) against the committed
 baseline, and optionally checks the fast-path speedup ratios from a Google
 Benchmark JSON produced by bench_micro.
 
-Eight timing rows are gated today, matched by scenario name across however
+Seven timing rows are gated today, matched by scenario name across however
 many --pr files are given:
   dense_grid_bench       (bench_dense_grid)      — simulation hot path
   testbed_measure_bench  (bench_testbed_measure) — measurement pass; its
@@ -41,13 +41,6 @@ many --pr files are given:
       metro_stored_links is exact: same seed, same culling geometry, same
       sparse link count — a drift means the spatial index or cull floor
       changed behavior.
-  pdes_bench             (bench_pdes)            — intra-run parallel event
-      execution; its pdes_reports_match metric is 1.0 when the partitioned
-      executive (2 and 4 partitions, worker threads on) produced
-      SweepReports byte-identical to the serial single-queue oracle — the
-      contract that licenses PDES at all (docs/pdes.md). pdes_speedup
-      rides as info: wall-clock parallel speedup depends on how many cores
-      the runner has, so it is not a meaningful gate there.
 
 Wall-clock comparisons (metrics ending in "_ms") are normalized by each
 row's own calibration_ms (a fixed CPU-bound workload timed on the same
@@ -80,12 +73,10 @@ MIN_KEYS = {"measure_speedup": "min_measure_speedup",
 # Metrics enforced as fixed minimums: cache_hit is 1.0 when the second
 # TestbedCache request returned the identical instance, decisions_match /
 # mobility_states_match are 1.0 when the fast and reference paths answered
-# (or left the cache) byte-identical, pdes_reports_match is 1.0 when the
-# partitioned executive reproduced the serial oracle's SweepReport
-# byte-for-byte at 2 and 4 partitions — a miss on any is the regression
-# the bench exists to catch, not a diagnostic.
+# (or left the cache) byte-identical — a miss on any is the regression the
+# bench exists to catch, not a diagnostic.
 FIXED_MIN_KEYS = {"cache_hit": 1.0, "decisions_match": 1.0,
-                  "mobility_states_match": 1.0, "pdes_reports_match": 1.0}
+                  "mobility_states_match": 1.0}
 # Metrics enforced as fixed maximums (machine-independent quantities,
 # like FIXED_MIN_KEYS but bounded from above):
 # trace_overhead_off is the CPU-time ratio of a sweep with a Tracer
@@ -115,12 +106,7 @@ INFO_KEYS = {"max_abs_delta_prr", "table_entries", "decide_reference_cpu_ms",
              "move_reference_cpu_ms", "trace_untraced_cpu_ms",
              "trace_disabled_cpu_ms", "trace_enabled_cpu_ms",
              "metrics_unmetered_cpu_ms", "metrics_disabled_cpu_ms",
-             "metrics_enabled_cpu_ms",
-             # bench_pdes: terms of the info-only pdes_speedup ratio. The
-             # PDES wall timings run worker threads, so wall clock on a
-             # shared runner is scheduler noise the calibration ratio
-             # cannot correct.
-             "pdes_serial_wall_ms", "pdes_p4_wall_ms"}
+             "metrics_enabled_cpu_ms"}
 # Timings whose baseline is shorter than this are reported but not gated:
 # sub-second samples on shared CI runners are dominated by scheduler and
 # cache noise that the calibration ratio cannot correct.
