@@ -1,12 +1,12 @@
 // Metro-scale memory bench: the 10,000-node metro_10k scenario over the
-// sparse link-state stores, gated in CI on PEAK RSS — the dense O(n^2)
-// pair state would need ~1.6 GB for the measurement matrices alone, so a
-// regression that silently re-densifies any layer shows up as a gate
-// failure, not a slow creep. Also times testbed_400 under both stores so
-// the sparse path's build/sweep cost stays visible next to the dense one.
+// sparse link state, gated in CI on PEAK RSS — dense O(n^2) pair state
+// would need ~1.6 GB for the pair matrices alone, so a regression that
+// silently re-densifies any layer shows up as a gate failure, not a slow
+// creep. Also sweeps testbed_400 under both Medium link-state modes so the
+// sparse medium's cost stays visible next to the dense cached one.
 //
 // Measurement order matters: ru_maxrss is process-monotone, so the gated
-// metro (sparse) numbers are taken BEFORE the dense-store comparisons.
+// metro (sparse) numbers are taken BEFORE the dense-medium comparison.
 //
 // Timing rows use process CPU time normalized by the shared calibration
 // workload — see cpu_ms_now()/calibration_ms() in bench_main.h.
@@ -39,7 +39,7 @@ int main() {
       "metro_10k testbed: %d nodes, %zu stored links (%.2f MB CSR), "
       "measurement pass %.0f CPU-ms\n",
       metro_tb.size(), metro_tb.stored_links(),
-      static_cast<double>(metro_tb.stored_links()) * 20.0 / 1e6,
+      static_cast<double>(metro_tb.stored_links()) * 21.0 / 1e6,
       metro_build_ms);
 
   auto metro_sweep = make_sweep(s, "metro_10k", {testbed::Scheme::kCmap});
@@ -53,31 +53,22 @@ int main() {
               report.rows().size(), metro_sweep_ms, metro_rss_mb);
   report.print_table();
 
-  // ---- testbed_400 under both stores: cost comparison ----
+  // ---- testbed_400 under both Medium modes: sweep cost comparison ----
   const auto& t400 = registry.at("testbed_400");
   testbed::TestbedConfig dense_cfg = *t400.testbed;
   dense_cfg.seed = s.seed;
-  t0 = cpu_ms_now();
   testbed::Testbed tb_dense(dense_cfg);
-  const double t400_dense_build_ms = cpu_ms_now() - t0;
   auto sweep400 = make_sweep(s, "testbed_400", {testbed::Scheme::kCmap});
   t0 = cpu_ms_now();
   auto report_dense = make_runner(s).run(sweep400, tb_dense);
   const double t400_dense_sweep_ms = cpu_ms_now() - t0;
 
   testbed::TestbedConfig sparse_cfg = dense_cfg;
-  sparse_cfg.measurement.store = testbed::MeasurementStore::kSparse;
   sparse_cfg.medium.link_state = phy::LinkStateMode::kSparse;
-  t0 = cpu_ms_now();
   testbed::Testbed tb_sparse(sparse_cfg);
-  const double t400_sparse_build_ms = cpu_ms_now() - t0;
   t0 = cpu_ms_now();
   auto report_sparse = make_runner(s).run(sweep400, tb_sparse);
   const double t400_sparse_sweep_ms = cpu_ms_now() - t0;
-  std::printf(
-      "testbed_400 build CPU-ms: dense %.0f, sparse %.0f "
-      "(%zu stored links)\n",
-      t400_dense_build_ms, t400_sparse_build_ms, tb_sparse.stored_links());
   std::printf(
       "testbed_400 sweep CPU-ms: dense %.0f (%.3f Mb/s), sparse %.0f "
       "(%.3f Mb/s)\n",
@@ -98,8 +89,6 @@ int main() {
       {"metro_stored_links", static_cast<double>(metro_tb.stored_links())},
       {"metro_testbed_build_cpu_ms", metro_build_ms},
       {"metro_sweep_cpu_ms", metro_sweep_ms},
-      {"t400_dense_build_cpu_ms", t400_dense_build_ms},
-      {"t400_sparse_build_cpu_ms", t400_sparse_build_ms},
       {"t400_dense_sweep_cpu_ms", t400_dense_sweep_ms},
       {"t400_sparse_sweep_cpu_ms", t400_sparse_sweep_ms},
       {"calibration_ms", calib}};

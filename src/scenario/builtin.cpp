@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <map>
 #include <set>
+#include <string>
 
 #include "dynamics/dynamics.h"
 #include "scenario/registry.h"
@@ -80,12 +81,9 @@ Scenario make_single_link() {
 Scenario make_ap_wlan(std::string name, int n_aps) {
   Scenario s;
   s.name = std::move(name);
-  char desc[96];
-  std::snprintf(desc, sizeof(desc),
-                "%d APs in distinct regions, one random-direction flow per "
-                "cell (§5.6)",
-                n_aps);
-  s.description = desc;
+  s.description = std::to_string(n_aps) +
+                  " APs in distinct regions, one random-direction flow per "
+                  "cell (§5.6)";
   s.topology = [n_aps](const testbed::Testbed& tb, int count, sim::Rng& rng) {
     testbed::TopologyPicker picker(tb);
     std::vector<TopologyInstance> out;
@@ -227,10 +225,8 @@ Scenario make_interferer_triple() {
 Scenario make_disjoint_flows(std::string name, int k) {
   Scenario s;
   s.name = std::move(name);
-  char desc[80];
-  std::snprintf(desc, sizeof(desc),
-                "%d concurrent potential-link flows over disjoint nodes", k);
-  s.description = desc;
+  s.description = std::to_string(k) +
+                  " concurrent potential-link flows over disjoint nodes";
   s.topology = [k](const testbed::Testbed& tb, int count, sim::Rng& rng) {
     testbed::TopologyPicker picker(tb);
     const auto& links = picker.potential_links();
@@ -435,18 +431,16 @@ Scenario make_mixed_floor() {
 Scenario make_dense_grid(std::string name, int sender_pct) {
   Scenario s;
   s.name = std::move(name);
-  char desc[112];
-  std::snprintf(desc, sizeof(desc),
-                "%d%% of all nodes transmit concurrently, each saturating a "
-                "flow to its best-PRR neighbor (PHY fast-path stress)",
-                sender_pct);
-  s.description = desc;
+  s.description = std::to_string(sender_pct) +
+                  "% of all nodes transmit concurrently, each saturating a "
+                  "flow to its best-PRR neighbor (PHY fast-path stress)";
   s.topology = [sender_pct](const testbed::Testbed& tb, int count,
                             sim::Rng& rng) {
     const int n = tb.size();
     const int k = std::max(1, n * sender_pct / 100);
     std::vector<TopologyInstance> out;
     out.reserve(static_cast<std::size_t>(count));
+    std::vector<double> prr_row;
     for (int draw = 0; draw < count; ++draw) {
       // k distinct senders via a partial Fisher-Yates shuffle.
       std::vector<phy::NodeId> ids(static_cast<std::size_t>(n));
@@ -463,9 +457,10 @@ Scenario make_dense_grid(std::string name, int sender_pct) {
         // (half-duplex contention is part of the workload).
         phy::NodeId best = src;
         double best_prr = -1.0;
+        tb.prr_row(src, &prr_row);
         for (phy::NodeId dst = 0; dst < static_cast<phy::NodeId>(n); ++dst) {
           if (dst == src) continue;
-          const double p = tb.prr(src, dst);
+          const double p = prr_row[dst];
           if (p > best_prr) {
             best_prr = p;
             best = dst;
@@ -502,12 +497,9 @@ Scenario make_dense_grid(std::string name, int sender_pct) {
 
 Scenario make_testbed_family(int nodes) {
   Scenario s = make_dense_grid("testbed_" + std::to_string(nodes), 25);
-  char desc[112];
-  std::snprintf(desc, sizeof(desc),
-                "dense-grid workload on a canonical %d-node building "
-                "(resolved via TestbedCache; scaling family)",
-                nodes);
-  s.description = desc;
+  s.description = "dense-grid workload on a canonical " +
+                  std::to_string(nodes) +
+                  "-node building (resolved via TestbedCache; scaling family)";
   testbed::TestbedConfig cfg;
   cfg.num_nodes = nodes;
   // Same floor density as the paper's 50-node / 70x40 m office.
@@ -532,12 +524,10 @@ Scenario make_flows_family(int flows) {
   // make_dense_grid with 50% senders on a 2N-node floor draws exactly N
   // distinct senders per topology instance.
   Scenario s = make_dense_grid("flows_" + std::to_string(flows), 50);
-  char desc[128];
-  std::snprintf(desc, sizeof(desc),
-                "%d concurrent best-PRR flows on a canonical %d-node "
-                "building (MAC decision stress; TestbedCache-resolved)",
-                flows, 2 * flows);
-  s.description = desc;
+  s.description = std::to_string(flows) +
+                  " concurrent best-PRR flows on a canonical " +
+                  std::to_string(2 * flows) +
+                  "-node building (MAC decision stress; TestbedCache-resolved)";
   testbed::TestbedConfig cfg;
   cfg.num_nodes = 2 * flows;
   const double scale = std::sqrt(2.0 * flows / 50.0);
@@ -550,9 +540,8 @@ Scenario make_flows_family(int flows) {
 // ---- NEW: metro_10k — sparse link-state at metropolitan scale ----
 //
 // Ten thousand nodes at the paper's floor density: 10^8 directed pairs,
-// a world the dense O(n^2) stores cannot hold and the sparse
-// Medium/Testbed representations (LinkStateMode::kSparse,
-// MeasurementStore::kSparse) exist for. The building raises the delivery
+// a world the dense O(n^2) medium cannot hold and the sparse link state
+// (LinkStateMode::kSparse) and the Testbed's CSR store exist for. The building raises the delivery
 // floor and narrows the guard band so candidate neighborhoods stay
 // metropolitan-sparse (~a thousand candidates, a few dozen connected
 // neighbors per node); with a static channel the sparse medium then holds
@@ -563,12 +552,10 @@ Scenario make_flows_family(int flows) {
 Scenario make_metro(int nodes, int sender_pct) {
   Scenario s;
   s.name = "metro_" + std::to_string(nodes / 1000) + "k";
-  char desc[128];
-  std::snprintf(desc, sizeof(desc),
-                "%d%% of %d nodes saturate best-PRR neighbor flows over "
-                "sparse link state (10k-scale memory workload)",
-                sender_pct, nodes);
-  s.description = desc;
+  s.description = std::to_string(sender_pct) + "% of " +
+                  std::to_string(nodes) +
+                  " nodes saturate best-PRR neighbor flows over sparse link "
+                  "state (10k-scale memory workload)";
   s.topology = [sender_pct](const testbed::Testbed& tb, int count,
                             sim::Rng& rng) {
     const int n = tb.size();
@@ -624,7 +611,6 @@ Scenario make_metro(int nodes, int sender_pct) {
   // -sparse. There is no dense reference at this scale to stay
   // byte-identical to; the golden-gated scenarios keep the default 6.
   cfg.medium.cull_guard_sigmas = 3.0;
-  cfg.measurement.store = testbed::MeasurementStore::kSparse;
   cfg.measurement.sparse_guard_sigmas = 3.0;
   s.testbed = cfg;
   // Event-dense at hundreds of concurrent flows: default to a short
@@ -676,13 +662,10 @@ void apply_mobile_defaults(Scenario& s, dynamics::MobilityPattern pattern,
 Scenario make_mobile_floor(int sender_pct) {
   Scenario s =
       make_dense_grid("mobile_floor_" + std::to_string(sender_pct), sender_pct);
-  char desc[128];
-  std::snprintf(desc, sizeof(desc),
-                "%d%%-sender dense floor where half the participating nodes "
-                "random-waypoint at pedestrian speed under an evolving "
-                "channel (defer TTL 5 s)",
-                sender_pct);
-  s.description = desc;
+  s.description = std::to_string(sender_pct) +
+                  "%-sender dense floor where half the participating nodes "
+                  "random-waypoint at pedestrian speed under an evolving "
+                  "channel (defer TTL 5 s)";
   apply_mobile_defaults(s, dynamics::MobilityPattern::kWaypoint, 0.5);
   return s;
 }
@@ -699,13 +682,9 @@ Scenario make_mobile_chain() {
 
 Scenario make_churn(int churn_pct) {
   Scenario s = make_dense_grid("churn_" + std::to_string(churn_pct), 25);
-  char desc[128];
-  std::snprintf(desc, sizeof(desc),
-                "25%%-sender dense floor where %d%% of participating nodes "
-                "teleport after exponential dwell times (arrival/departure "
-                "churn; defer TTL 5 s)",
-                churn_pct);
-  s.description = desc;
+  s.description = "25%-sender dense floor where " + std::to_string(churn_pct) +
+                  "% of participating nodes teleport after exponential dwell "
+                  "times (arrival/departure churn; defer TTL 5 s)";
   apply_mobile_defaults(s, dynamics::MobilityPattern::kChurn,
                         churn_pct / 100.0);
   return s;

@@ -201,39 +201,13 @@ std::pair<double, double> LinkMeasurement::measure_one(
   return {pair_prr(from, to, s), s};
 }
 
-LinkMeasurementResult LinkMeasurement::measure(
-    const std::vector<phy::Position>& positions) const {
-  if (spec_.config.store == MeasurementStore::kSparse) {
-    return measure_sparse(positions);
-  }
-  const auto n = positions.size();
-  LinkMeasurementResult result;
-  result.prr.assign(n * n, 0.0);
-  result.signal.assign(n * n, -300.0);
-
-  sim::parallel_for(spec_.config.threads, n, [&](std::size_t row) {
-    const auto i = static_cast<phy::NodeId>(row);
-    for (std::size_t col = 0; col < n; ++col) {
-      if (col == row) continue;
-      const auto j = static_cast<phy::NodeId>(col);
-      const auto [p, s] = measure_one(i, j, positions[row], positions[col]);
-      result.signal[row * n + col] = s;
-      result.prr[row * n + col] = p;
-    }
-  });
-
-  for (std::size_t k = 0; k < n * n; ++k) {
-    if (result.signal[k] >= spec_.delivery_floor_dbm) {
-      result.connected_signals.push_back(result.signal[k]);
-    }
-  }
-  std::sort(result.connected_signals.begin(), result.connected_signals.end());
-  result.p10 = percentile_of(result.connected_signals, 10.0);
-  result.p90 = percentile_of(result.connected_signals, 90.0);
-  return result;
+double LinkMeasurement::zero_prr_below_dbm() const {
+  if (spec_.fading_sigma_db <= 0.0) return spec_.radio.sensitivity_dbm;
+  if (spec_.config.mode == MeasurementMode::kFast) return prr_lo_dbm_;
+  return -std::numeric_limits<double>::infinity();
 }
 
-LinkMeasurementResult LinkMeasurement::measure_sparse(
+LinkMeasurementResult LinkMeasurement::measure(
     const std::vector<phy::Position>& positions) const {
   const auto n = positions.size();
   // Candidate radius: beyond it no pair can clear the delivery floor
@@ -293,22 +267,22 @@ LinkMeasurementResult LinkMeasurement::measure_sparse(
   std::size_t total = 0;
   for (const std::vector<Link>& r : rows) {
     total += r.size();
-    CMAP_ASSERT(total <= 0xffffffffu, "sparse link count overflows CSR index");
+    CMAP_ASSERT(total <= 0xffffffffu, "link count overflows CSR index");
     result.row_begin.push_back(static_cast<std::uint32_t>(total));
   }
   result.dst.reserve(total);
-  result.sparse_prr.reserve(total);
-  result.sparse_signal.reserve(total);
+  result.link_prr.reserve(total);
+  result.link_signal.reserve(total);
   for (const std::vector<Link>& r : rows) {
     for (const Link& l : r) {
       result.dst.push_back(l.dst);
-      result.sparse_prr.push_back(l.prr);
-      result.sparse_signal.push_back(l.signal);
+      result.link_prr.push_back(l.prr);
+      result.link_signal.push_back(l.signal);
     }
   }
   // Every stored signal cleared the floor, so the connected population is
-  // exactly the stored one — same multiset the dense pass collects.
-  result.connected_signals = result.sparse_signal;
+  // exactly the stored one.
+  result.connected_signals = result.link_signal;
   std::sort(result.connected_signals.begin(), result.connected_signals.end());
   result.p10 = percentile_of(result.connected_signals, 10.0);
   result.p90 = percentile_of(result.connected_signals, 90.0);

@@ -1,22 +1,28 @@
 // The testbed "measurement pass": PRR and mean signal strength for every
-// directed pair, extracted from Testbed's constructor into a reusable
-// subsystem (this was the O(n^2 * fading-samples) startup cost that
-// dominated large-testbed instantiation).
+// directed pair that clears the delivery floor, extracted from Testbed's
+// constructor into a reusable subsystem.
 //
-// Key insight behind the fast path: with one shared RadioConfig, probe
+// The pass never walks the n^2 pair space. A spatial grid limits it to
+// pairs within the propagation model's guard-banded candidate radius, a
+// cheap per-pair bound rejects most of those, and only pairs whose exact
+// mean signal clears the floor are stored, as a CSR. Pairs outside it are
+// answered lazily through measure_one(), which computes exactly what the
+// pass would have stored (see Testbed).
+//
+// Key insight behind the fast PRR path: with one shared RadioConfig, probe
 // rate and probe size, the fading-averaged packet reception rate is a pure
 // 1-D function of the pair's mean received power. So PRR is tabulated ONCE
 // over a fine dBm grid (stratified Gaussian quadrature over the fading
 // distribution, near-exact) and each pair costs a single table
-// interpolation — O(n^2) lookups instead of O(n^2 * samples) error-model
-// evaluations. The per-pair Monte-Carlo estimator is retained as
-// MeasurementMode::kReference behind a config knob; it draws per-pair
-// substreams, so it is what defines "the measured building" when bitwise
-// reproducibility of the sampling path matters.
+// interpolation instead of `samples` error-model evaluations. The per-pair
+// Monte-Carlo estimator is retained as MeasurementMode::kReference behind
+// a config knob; it draws per-pair substreams, so it is what defines "the
+// measured building" when bitwise reproducibility of the sampling path
+// matters.
 //
-// The remaining per-pair loop (propagation + lookup, or the reference MC)
-// shards across sim::parallel_for; results are identical for any thread
-// count because every pair's output depends only on (seed, pair).
+// The per-row loop shards across sim::parallel_for; results are identical
+// for any thread count because every pair's output depends only on
+// (seed, pair).
 #pragma once
 
 #include <cstdint>
@@ -38,11 +44,6 @@ enum class MeasurementMode {
   kReference,  // per-pair stratified Monte-Carlo over the fading Gaussian
 };
 
-enum class MeasurementStore {
-  kDense,   // full n^2 PRR/signal matrices — the reference layout
-  kSparse,  // CSR over pairs whose mean signal clears the delivery floor
-};
-
 struct MeasurementConfig {
   MeasurementMode mode = MeasurementMode::kFast;
   /// Threads sharding the per-pair loop; 0 = sim::default_thread_count().
@@ -53,18 +54,10 @@ struct MeasurementConfig {
   /// Fading strata per fast-mode table entry (quadrature accuracy ~1/strata
   /// worst-case, far better in practice).
   int table_strata = 512;
-  /// Pair-state layout measure() produces. kSparse never touches the n^2
-  /// pair space: a spatial grid limits evaluation to pairs within the
-  /// propagation model's guard-banded candidate radius
-  /// (phy::max_candidate_range_m over the delivery floor), each candidate
-  /// gets the exact signal only if its cheap per-pair bound
-  /// (PropagationModel::pair_rx_power_bound_dbm) clears the floor, and
-  /// only pairs whose mean signal actually clears it are stored. Off-CSR
-  /// pairs are answered lazily (see Testbed) with values identical to kDense.
-  MeasurementStore store = MeasurementStore::kDense;
-  /// Confidence (in model sigmas) of the kSparse candidate radius: a pair
-  /// outside it would need a shadowing realization beyond this many sigmas
-  /// to clear the delivery floor. At the default 6 the per-pair miss
+  /// Confidence (in model sigmas) of the candidate radius
+  /// (phy::max_candidate_range_m over the delivery floor): a pair outside
+  /// it would need a shadowing realization beyond this many sigmas to
+  /// clear the delivery floor. At the default 6 the per-pair miss
   /// probability is ~1e-9.
   double sparse_guard_sigmas = 6.0;
   bool operator==(const MeasurementConfig&) const = default;
@@ -100,20 +93,16 @@ struct LinkMeasurementSpec {
 };
 
 struct LinkMeasurementResult {
-  // kDense layout (empty under kSparse):
-  std::vector<double> prr;     // [from * n + to]; 0 on the diagonal
-  std::vector<double> signal;  // [from * n + to] dBm; -300 on the diagonal
-  // Both layouts:
-  std::vector<double> connected_signals;  // sorted ascending
+  // CSR over directed pairs whose mean signal clears the delivery floor;
+  // row r covers dst/link_prr/link_signal indices
+  // [row_begin[r], row_begin[r + 1]), dst ascending within a row.
+  std::vector<std::uint32_t> row_begin;  // size n + 1
+  std::vector<phy::NodeId> dst;
+  std::vector<double> link_prr;
+  std::vector<double> link_signal;  // dBm
+  std::vector<double> connected_signals;  // link_signal, sorted ascending
   double p10 = 0.0;  // 10th / 90th percentile of connected_signals,
   double p90 = 0.0;  // NaN when no pair clears the delivery floor
-  // kSparse layout: CSR over directed pairs whose mean signal clears the
-  // delivery floor; row r covers dst/sparse_prr/sparse_signal indices
-  // [row_begin[r], row_begin[r + 1]), dst ascending within a row.
-  std::vector<std::uint32_t> row_begin;  // size n + 1 (empty under kDense)
-  std::vector<phy::NodeId> dst;
-  std::vector<double> sparse_prr;
-  std::vector<double> sparse_signal;
 };
 
 class LinkMeasurement {
@@ -122,16 +111,23 @@ class LinkMeasurement {
                   std::shared_ptr<const phy::PropagationModel> propagation,
                   std::shared_ptr<const phy::ErrorModel> error_model);
 
-  /// Run the full pass over every directed pair of `positions` (kDense),
-  /// or over grid candidates only (kSparse; see MeasurementConfig::store).
+  /// Run the pass over the grid candidates of `positions` and store every
+  /// directed pair whose mean signal clears the delivery floor.
   LinkMeasurementResult measure(
       const std::vector<phy::Position>& positions) const;
 
   /// One directed pair, computed exactly as measure() would — the lazy
-  /// path for pairs outside a kSparse CSR. Returns {prr, signal_dbm}.
+  /// path for pairs outside the CSR, and the reference the CSR is checked
+  /// against. Returns {prr, signal_dbm}.
   std::pair<double, double> measure_one(phy::NodeId from, phy::NodeId to,
                                         const phy::Position& from_pos,
                                         const phy::Position& to_pos) const;
+
+  /// Mean received power below which the configured estimator returns a
+  /// PRR of exactly 0: fast_prr's own cut-off (the table's lower edge, or
+  /// the lock sensitivity without fading). -infinity for the reference
+  /// estimator with fading, whose draws have no such cut-off.
+  double zero_prr_below_dbm() const;
 
   const LinkMeasurementSpec& spec() const { return spec_; }
 
@@ -158,8 +154,6 @@ class LinkMeasurement {
   double success_from_table(double rx_dbm) const;
   /// The configured estimator's PRR for the directed pair at `mean_dbm`.
   double pair_prr(phy::NodeId from, phy::NodeId to, double mean_dbm) const;
-  LinkMeasurementResult measure_sparse(
-      const std::vector<phy::Position>& positions) const;
 
   LinkMeasurementSpec spec_;
   std::shared_ptr<const phy::PropagationModel> propagation_;

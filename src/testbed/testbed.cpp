@@ -9,6 +9,12 @@
 namespace cmap::testbed {
 
 Testbed::Testbed(TestbedConfig config) : config_(config) {
+  CMAP_ASSERT(std::isfinite(config_.width_m) && config_.width_m > 0.0,
+              "TestbedConfig::width_m must be finite and positive");
+  CMAP_ASSERT(std::isfinite(config_.height_m) && config_.height_m > 0.0,
+              "TestbedConfig::height_m must be finite and positive");
+  CMAP_ASSERT(config_.num_nodes >= 1 && config_.num_nodes <= (1 << 20),
+              "TestbedConfig::num_nodes must lie in [1, 2^20]");
   config_.prop.seed = config_.seed;
   propagation_ = std::make_shared<phy::LogDistanceShadowing>(config_.prop);
   error_model_ = std::make_shared<phy::NistErrorModel>();
@@ -18,18 +24,24 @@ Testbed::Testbed(TestbedConfig config) : config_(config) {
   // grid-hashed (cells of min_sep; a conflict can only sit in the 3x3
   // neighborhood), replacing an O(n) scan per candidate — same candidate
   // stream, same accept/reject decisions, byte-identical placements.
+  // Cells only index the check, so any pitch of at least min_sep is exact;
+  // past 1024 cells a side the pitch widens to keep the grid bounded.
   sim::Rng rng(config_.seed);
   sim::Rng place = rng.substream(0x91ace, 0);
   const double min_sep = 2.0;
+  constexpr double kMaxCellsPerSide = 1024.0;
+  const double pitch_x = std::max(min_sep, config_.width_m / kMaxCellsPerSide);
+  const double pitch_y =
+      std::max(min_sep, config_.height_m / kMaxCellsPerSide);
   const int grid_w = std::max(
-      1, static_cast<int>(std::ceil(config_.width_m / min_sep)));
+      1, static_cast<int>(std::ceil(config_.width_m / pitch_x)));
   const int grid_h = std::max(
-      1, static_cast<int>(std::ceil(config_.height_m / min_sep)));
+      1, static_cast<int>(std::ceil(config_.height_m / pitch_y)));
   std::vector<std::vector<std::uint32_t>> cells(
       static_cast<std::size_t>(grid_w) * static_cast<std::size_t>(grid_h));
   const auto cell_of = [&](const phy::Position& p) {
-    const int cx = std::min(grid_w - 1, static_cast<int>(p.x / min_sep));
-    const int cy = std::min(grid_h - 1, static_cast<int>(p.y / min_sep));
+    const int cx = std::min(grid_w - 1, static_cast<int>(p.x / pitch_x));
+    const int cy = std::min(grid_h - 1, static_cast<int>(p.y / pitch_y));
     return std::pair<int, int>{cx, cy};
   };
   // Over-dense floors used to spin forever here; bound the consecutive
@@ -85,93 +97,66 @@ Testbed::Testbed(TestbedConfig config) : config_(config) {
   spec.fading_samples = config_.prr_fading_samples;
   spec.seed = config_.seed;
   spec.config = config_.measurement;
-  auto measurement =
+  measurement_ =
       std::make_unique<LinkMeasurement>(spec, propagation_, error_model_);
-  LinkMeasurementResult result = measurement->measure(positions_);
+  LinkMeasurementResult result = measurement_->measure(positions_);
+  row_begin_ = std::move(result.row_begin);
+  link_dst_ = std::move(result.dst);
+  link_prr_ = std::move(result.link_prr);
+  link_signal_ = std::move(result.link_signal);
   connected_signals_ = std::move(result.connected_signals);
   p10_ = result.p10;
   p90_ = result.p90;
-  if (config_.measurement.store == MeasurementStore::kSparse) {
-    row_begin_ = std::move(result.row_begin);
-    link_dst_ = std::move(result.dst);
-    link_prr_ = std::move(result.sparse_prr);
-    link_signal_ = std::move(result.sparse_signal);
-    lazy_ = std::move(measurement);  // answers off-CSR pair queries
-  } else {
-    prr_ = std::move(result.prr);
-    signal_ = std::move(result.signal);
-  }
-
-  // Precompute the potential-link list the topology pickers iterate; the
-  // predicate inputs above are final from here on. The sparse store walks
-  // only connected rows — a pair needs PRR > 0.9 both ways, so any
-  // potential link is stored in both directions.
-  const auto n = static_cast<phy::NodeId>(config_.num_nodes);
-  if (sparse()) {
-    // potential_link(a, b) on the CSR entries themselves: the forward
-    // values are at k, and one search finds the reverse entry. Only an
-    // unstored reverse direction takes the general (lazy) path.
-    for (phy::NodeId a = 0; a < n; ++a) {
-      for (std::uint32_t k = row_begin_[a]; k < row_begin_[a + 1]; ++k) {
-        if (!(link_prr_[k] > 0.9 && link_signal_[k] >= p10_)) continue;
-        const phy::NodeId b = link_dst_[k];
-        const std::ptrdiff_t r = stored_index(b, a);
-        const bool potential =
-            r >= 0 ? link_prr_[static_cast<std::size_t>(r)] > 0.9 &&
-                         link_signal_[static_cast<std::size_t>(r)] >= p10_
-                   : potential_link(a, b);
-        if (potential) potential_links_.emplace_back(a, b);
-      }
-    }
-  } else {
-    for (phy::NodeId a = 0; a < n; ++a) {
-      for (phy::NodeId b = 0; b < n; ++b) {
-        if (a != b && potential_link(a, b)) potential_links_.emplace_back(a, b);
-      }
-    }
-  }
-  build_neighbor_csrs();
+  // An off-CSR pair's signal is below the floor; when the floor is at or
+  // below the estimator's zero cut-off, its PRR is exactly 0.
+  off_csr_prr_zero_ = config_.medium.delivery_floor_dbm <=
+                      measurement_->zero_prr_below_dbm();
+  classify_links();
 }
 
-void Testbed::build_neighbor_csrs() {
-  const auto n = static_cast<std::size_t>(config_.num_nodes);
-  // potential_links_ is (from, to)-lexicographic, so the CSR is a direct
-  // transcription.
-  pot_begin_.assign(n + 1, 0);
-  pot_dst_.reserve(potential_links_.size());
-  for (const auto& [a, b] : potential_links_) {
-    ++pot_begin_[a + 1];
-    pot_dst_.push_back(b);
-  }
-  for (std::size_t i = 0; i < n; ++i) pot_begin_[i + 1] += pot_begin_[i];
-  if (sparse()) return;  // connected rows are the stored CSR itself
-  conn_begin_.assign(n + 1, 0);
-  for (std::size_t a = 0; a < n; ++a) {
-    for (std::size_t b = 0; b < n; ++b) {
-      if (a != b && signal_[a * n + b] >= config_.medium.delivery_floor_dbm) {
-        conn_dst_.push_back(static_cast<phy::NodeId>(b));
+void Testbed::classify_links() {
+  // Both two-way predicates need the reverse signal at or above p10, which
+  // is at or above the floor; an unstored reverse link fails them.
+  const auto one_way = [&](std::size_t k, double min_prr) {
+    return link_prr_[k] > min_prr && link_signal_[k] >= p10_;
+  };
+  const auto n = static_cast<phy::NodeId>(config_.num_nodes);
+  link_flags_.assign(link_dst_.size(), 0);
+  pot_begin_.assign(static_cast<std::size_t>(n) + 1, 0);
+  for (phy::NodeId a = 0; a < n; ++a) {
+    for (std::uint32_t k = row_begin_[a]; k < row_begin_[a + 1]; ++k) {
+      if (!one_way(k, 0.2)) continue;
+      const phy::NodeId b = link_dst_[k];
+      const std::ptrdiff_t r = stored_index(b, a);
+      if (r < 0 || !one_way(static_cast<std::size_t>(r), 0.2)) continue;
+      link_flags_[k] = kInRange;
+      if (one_way(k, 0.9) && one_way(static_cast<std::size_t>(r), 0.9)) {
+        link_flags_[k] |= kPotential;
+        potential_links_.emplace_back(a, b);
+        pot_dst_.push_back(b);
       }
     }
-    conn_begin_[a + 1] = static_cast<std::uint32_t>(conn_dst_.size());
+    pot_begin_[a + 1] = static_cast<std::uint32_t>(pot_dst_.size());
   }
 }
 
 std::ptrdiff_t Testbed::stored_index(phy::NodeId from, phy::NodeId to) const {
-  const auto* lo = link_dst_.data() + row_begin_[from];
-  const auto* hi = link_dst_.data() + row_begin_[from + 1];
-  const auto* it = std::lower_bound(lo, hi, to);
-  if (it == hi || *it != to) return -1;
-  return it - link_dst_.data();
+  // Branch-free search for the last entry <= to: the topology draws probe
+  // short rows at unpredictable positions, where a branching search
+  // mispredicts at nearly every step.
+  const phy::NodeId* base = link_dst_.data() + row_begin_[from];
+  std::size_t len = row_begin_[from + 1] - row_begin_[from];
+  if (len == 0) return -1;
+  while (len > 1) {
+    const std::size_t half = len / 2;
+    base = base[half] <= to ? base + half : base;
+    len -= half;
+  }
+  return *base == to ? base - link_dst_.data() : -1;
 }
 
-std::pair<double, double> Testbed::link_values(phy::NodeId from,
+std::pair<double, double> Testbed::lazy_values(phy::NodeId from,
                                                phy::NodeId to) const {
-  const std::ptrdiff_t idx = stored_index(from, to);
-  if (idx >= 0) {
-    return {link_prr_[static_cast<std::size_t>(idx)],
-            link_signal_[static_cast<std::size_t>(idx)]};
-  }
-  // Off-CSR pair: compute the exact dense-store values once and memoize.
   // The testbed is shared const across sweep threads, hence the lock; the
   // computation itself is read-only and cheap (one propagation query plus
   // a table interpolation), so holding the lock across it is fine.
@@ -181,21 +166,43 @@ std::pair<double, double> Testbed::link_values(phy::NodeId from,
   const auto it = memo_.find(key);
   if (it != memo_.end()) return it->second;
   const auto values =
-      lazy_->measure_one(from, to, positions_[from], positions_[to]);
+      measurement_->measure_one(from, to, positions_[from], positions_[to]);
   memo_.emplace(key, values);
   return values;
 }
 
 double Testbed::prr(phy::NodeId from, phy::NodeId to) const {
   CMAP_ASSERT(from != to, "self link");
-  if (sparse()) return link_values(from, to).first;
-  return prr_[from * config_.num_nodes + to];
+  const std::ptrdiff_t k = stored_index(from, to);
+  if (k >= 0) return link_prr_[static_cast<std::size_t>(k)];
+  return off_csr_prr_zero_ ? 0.0 : lazy_values(from, to).first;
+}
+
+void Testbed::prr_row(phy::NodeId from, std::vector<double>* out) const {
+  const auto n = static_cast<phy::NodeId>(config_.num_nodes);
+  const std::uint32_t begin = row_begin_[from];
+  const std::uint32_t end = row_begin_[from + 1];
+  out->assign(n, 0.0);
+  if (!off_csr_prr_zero_) {
+    std::uint32_t k = begin;
+    for (phy::NodeId to = 0; to < n; ++to) {
+      if (k < end && link_dst_[k] == to) {
+        ++k;
+      } else if (to != from) {
+        (*out)[to] = lazy_values(from, to).first;
+      }
+    }
+  }
+  for (std::uint32_t k = begin; k < end; ++k) {
+    (*out)[link_dst_[k]] = link_prr_[k];
+  }
 }
 
 double Testbed::signal_dbm(phy::NodeId from, phy::NodeId to) const {
   CMAP_ASSERT(from != to, "self link");
-  if (sparse()) return link_values(from, to).second;
-  return signal_[from * config_.num_nodes + to];
+  const std::ptrdiff_t k = stored_index(from, to);
+  if (k >= 0) return link_signal_[static_cast<std::size_t>(k)];
+  return lazy_values(from, to).second;
 }
 
 double Testbed::signal_percentile(double p) const {
@@ -204,43 +211,33 @@ double Testbed::signal_percentile(double p) const {
 }
 
 bool Testbed::in_range(phy::NodeId a, phy::NodeId b) const {
-  return prr(a, b) > 0.2 && prr(b, a) > 0.2 && signal_dbm(a, b) >= p10_ &&
-         signal_dbm(b, a) >= p10_;
+  const std::ptrdiff_t k = stored_index(a, b);
+  return k >= 0 && (link_flags_[static_cast<std::size_t>(k)] & kInRange);
 }
 
 bool Testbed::potential_link(phy::NodeId a, phy::NodeId b) const {
-  return prr(a, b) > 0.9 && prr(b, a) > 0.9 && signal_dbm(a, b) >= p10_ &&
-         signal_dbm(b, a) >= p10_;
+  const std::ptrdiff_t k = stored_index(a, b);
+  return k >= 0 && (link_flags_[static_cast<std::size_t>(k)] & kPotential);
 }
 
 bool Testbed::strong_signal(phy::NodeId from, phy::NodeId to) const {
-  return signal_dbm(from, to) >= p90_;
+  // p90 is at or above the floor, so an off-CSR pair is never strong.
+  const std::ptrdiff_t k = stored_index(from, to);
+  return k >= 0 && link_signal_[static_cast<std::size_t>(k)] >= p90_;
 }
 
 Testbed::LinkClasses Testbed::link_classes() const {
+  // The CSR holds exactly the connected directed pairs.
   LinkClasses out;
+  out.connected_pairs = static_cast<int>(link_prr_.size());
   int dead = 0, mid = 0, perfect = 0;
-  const auto classify = [&](double p) {
-    ++out.connected_pairs;
+  for (const double p : link_prr_) {
     if (p < 0.1) {
       ++dead;
     } else if (p < 0.95) {
       ++mid;
     } else {
       ++perfect;
-    }
-  };
-  if (sparse()) {
-    // The CSR holds exactly the connected directed pairs.
-    for (const double p : link_prr_) classify(p);
-  } else {
-    const int n = config_.num_nodes;
-    for (phy::NodeId i = 0; i < static_cast<phy::NodeId>(n); ++i) {
-      for (phy::NodeId j = 0; j < static_cast<phy::NodeId>(n); ++j) {
-        if (i == j) continue;
-        if (signal_[i * n + j] < config_.medium.delivery_floor_dbm) continue;
-        classify(prr_[i * n + j]);
-      }
     }
   }
   if (out.connected_pairs > 0) {
@@ -253,36 +250,25 @@ Testbed::LinkClasses Testbed::link_classes() const {
 }
 
 double Testbed::mean_degree() const {
+  // A PRR > 0.1 link needs signal well above the delivery floor (the
+  // preamble gate), so every counting pair sits in the CSR. A node sees a
+  // neighbor through its own row when either direction is stored there;
+  // when the reverse row is entirely missing (signal below the floor one
+  // way), the stored side credits the other node directly.
   const int n = config_.num_nodes;
-  double total = 0;
-  if (sparse()) {
-    // A PRR > 0.1 link needs signal well above the delivery floor (the
-    // preamble gate), so every counting pair sits in the CSR. A node sees
-    // a neighbor through its own row when either direction is stored
-    // there; when the reverse row is entirely missing (signal below the
-    // floor one way), the stored side credits the other node directly.
-    std::vector<int> deg(static_cast<std::size_t>(n), 0);
-    for (phy::NodeId i = 0; i < static_cast<phy::NodeId>(n); ++i) {
-      for (std::uint32_t k = row_begin_[i]; k < row_begin_[i + 1]; ++k) {
-        const phy::NodeId j = link_dst_[k];
-        const bool fwd = link_prr_[k] > 0.1;
-        const std::ptrdiff_t r = stored_index(j, i);
-        const bool rev = r >= 0 && link_prr_[static_cast<std::size_t>(r)] > 0.1;
-        if (fwd || rev) ++deg[i];
-        if (fwd && r < 0) ++deg[j];
-      }
-    }
-    for (const int d : deg) total += d;
-    return total / n;
-  }
+  std::vector<int> deg(static_cast<std::size_t>(n), 0);
   for (phy::NodeId i = 0; i < static_cast<phy::NodeId>(n); ++i) {
-    int deg = 0;
-    for (phy::NodeId j = 0; j < static_cast<phy::NodeId>(n); ++j) {
-      if (i == j) continue;
-      if (prr_[i * n + j] > 0.1 || prr_[j * n + i] > 0.1) ++deg;
+    for (std::uint32_t k = row_begin_[i]; k < row_begin_[i + 1]; ++k) {
+      const phy::NodeId j = link_dst_[k];
+      const bool fwd = link_prr_[k] > 0.1;
+      const std::ptrdiff_t r = stored_index(j, i);
+      const bool rev = r >= 0 && link_prr_[static_cast<std::size_t>(r)] > 0.1;
+      if (fwd || rev) ++deg[i];
+      if (fwd && r < 0) ++deg[j];
     }
-    total += deg;
   }
+  double total = 0;
+  for (const int d : deg) total += d;
   return total / n;
 }
 

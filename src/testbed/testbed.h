@@ -10,6 +10,7 @@
 // (PRR > 0.1 neighbours) ~= 15.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -28,8 +29,8 @@
 namespace cmap::testbed {
 
 struct TestbedConfig {
-  int num_nodes = 50;
-  double width_m = 70.0;
+  int num_nodes = 50;     // in [1, 2^20]
+  double width_m = 70.0;  // floor size: finite and positive
   double height_m = 40.0;
   std::uint64_t seed = 1;  // drives placement AND shadowing
 
@@ -95,6 +96,10 @@ class Testbed {
   /// probe rate, fading-averaged), in the absence of interference.
   double prr(phy::NodeId from, phy::NodeId to) const;
 
+  /// prr(from, to) for every node `to` (0 at `to == from`) into `out`,
+  /// in one pass over the stored row instead of a search per pair.
+  void prr_row(phy::NodeId from, std::vector<double>* out) const;
+
   /// Mean received signal strength (dBm) of the directed link.
   double signal_dbm(phy::NodeId from, phy::NodeId to) const;
 
@@ -130,24 +135,14 @@ class Testbed {
   }
 
   /// Destinations b with signal_dbm(a, b) at or above the delivery floor
-  /// ("any connectivity" outbound), ascending. Under the sparse store this
-  /// is the stored CSR row itself; the dense store derives an equivalent
-  /// CSR once at construction.
+  /// ("any connectivity" outbound), ascending: the stored CSR row itself.
   std::span<const phy::NodeId> connected_neighbors(phy::NodeId a) const {
-    if (sparse()) {
-      return {link_dst_.data() + row_begin_[a],
-              link_dst_.data() + row_begin_[a + 1]};
-    }
-    return {conn_dst_.data() + conn_begin_[a],
-            conn_dst_.data() + conn_begin_[a + 1]};
+    return {link_dst_.data() + row_begin_[a],
+            link_dst_.data() + row_begin_[a + 1]};
   }
 
-  /// Whether this testbed runs the sparse pair-state store
-  /// (config().measurement.store == MeasurementStore::kSparse).
-  bool sparse() const { return !row_begin_.empty(); }
-
-  /// Directed pairs held in the sparse CSR (0 under the dense store) —
-  /// observability for memory accounting and tests.
+  /// Directed pairs held in the CSR (the connected ones) — observability
+  /// for memory accounting and tests.
   std::size_t stored_links() const { return link_dst_.size(); }
 
   // ---- Calibration statistics (validated against §5.1) ----
@@ -162,36 +157,39 @@ class Testbed {
   double mean_degree() const;
 
  private:
-  /// Index of (from, to) in the sparse CSR arrays, or -1 when not stored
-  /// (meaning its mean signal is below the delivery floor).
+  /// Index of (from, to) in the CSR arrays, or -1 when not stored (meaning
+  /// its mean signal is below the delivery floor).
   std::ptrdiff_t stored_index(phy::NodeId from, phy::NodeId to) const;
-  /// {prr, signal} for any directed pair: CSR hit, else the lazy memo.
-  std::pair<double, double> link_values(phy::NodeId from, phy::NodeId to) const;
-  void build_neighbor_csrs();
+  /// {prr, signal} of an off-CSR pair, computed once and memoized.
+  std::pair<double, double> lazy_values(phy::NodeId from,
+                                        phy::NodeId to) const;
+  /// Evaluates the two-way predicates once per stored link and builds the
+  /// potential-link list and CSR.
+  void classify_links();
+
+  enum LinkFlag : std::uint8_t { kInRange = 1, kPotential = 2 };
 
   TestbedConfig config_;
   std::vector<phy::Position> positions_;
   std::shared_ptr<phy::LogDistanceShadowing> propagation_;
   std::shared_ptr<phy::NistErrorModel> error_model_;
-  // Dense store: full matrices.
-  std::vector<double> prr_;         // [from * n + to]
-  std::vector<double> signal_;      // [from * n + to]
-  // Sparse store: CSR over connected directed pairs (dst ascending per
-  // row), plus a mutex-protected memo lazily answering off-CSR queries
-  // with exactly the values the dense store would hold.
-  std::vector<std::uint32_t> row_begin_;  // size n + 1; empty when dense
+  // CSR over connected directed pairs (dst ascending per row).
+  std::vector<std::uint32_t> row_begin_;  // size n + 1
   std::vector<phy::NodeId> link_dst_;
   std::vector<double> link_prr_;
   std::vector<double> link_signal_;
-  std::unique_ptr<LinkMeasurement> lazy_;  // retained only by sparse mode
+  std::vector<std::uint8_t> link_flags_;  // LinkFlag bits per stored link
+  // Off-CSR pairs: their signal is below the floor, so every predicate
+  // fails on them, and when the floor is at or below the estimator's zero
+  // cut-off their PRR is exactly 0 (off_csr_prr_zero_). Anything else is
+  // recomputed by `measurement_` into a mutex-protected memo.
+  std::unique_ptr<LinkMeasurement> measurement_;
+  bool off_csr_prr_zero_ = false;
   mutable std::mutex memo_mutex_;
   mutable std::unordered_map<std::uint64_t, std::pair<double, double>> memo_;
-  // Neighbor CSRs (both stores): potential_link rows, and (dense only —
-  // sparse reads its own CSR) any-connectivity rows.
+  // potential_link rows as a CSR (see potential_neighbors).
   std::vector<std::uint32_t> pot_begin_;
   std::vector<phy::NodeId> pot_dst_;
-  std::vector<std::uint32_t> conn_begin_;
-  std::vector<phy::NodeId> conn_dst_;
   std::vector<double> connected_signals_;  // sorted, for percentiles
   std::vector<std::pair<phy::NodeId, phy::NodeId>> potential_links_;
   double p10_ = 0.0;  // cached signal_percentile(10/90); NaN when no pair

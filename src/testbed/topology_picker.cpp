@@ -33,14 +33,16 @@ bool distinct4(phy::NodeId a, phy::NodeId b, phy::NodeId c, phy::NodeId d) {
 
 std::vector<LinkPair> TopologyPicker::exposed_pairs(int count,
                                                     sim::Rng& rng) const {
-  const auto& links = potential_links();
+  // Both flows need a strong link; filtering once keeps the pool order.
+  std::vector<std::pair<phy::NodeId, phy::NodeId>> strong;
+  for (const auto& [s, r] : potential_links()) {
+    if (tb_.strong_signal(s, r)) strong.emplace_back(s, r);
+  }
   std::vector<LinkPair> pool;
-  for (const auto& [s1, r1] : links) {
-    if (!tb_.strong_signal(s1, r1)) continue;
-    for (const auto& [s2, r2] : links) {
+  for (const auto& [s1, r1] : strong) {
+    for (const auto& [s2, r2] : strong) {
       if (!distinct4(s1, r1, s2, r2)) continue;
       if (s2 < s1) continue;  // unordered pair of links: avoid mirrors
-      if (!tb_.strong_signal(s2, r2)) continue;
       if (!tb_.in_range(s1, s2)) continue;
       // "Signal strength between all other pairs of nodes is somewhat
       // weak": both directions of every non-flow pair below the 90th

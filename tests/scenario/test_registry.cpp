@@ -27,6 +27,21 @@ TEST(Registry, GlobalHasEveryBuiltin) {
   }
 }
 
+TEST(Registry, LongDescriptionsAreStoredInFull) {
+  const auto& reg = ScenarioRegistry::global();
+  EXPECT_EQ(reg.at("mobile_floor_25").description,
+            "25%-sender dense floor where half the participating nodes "
+            "random-waypoint at pedestrian speed under an evolving channel "
+            "(defer TTL 5 s)");
+  EXPECT_EQ(reg.at("churn_25").description,
+            "25%-sender dense floor where 25% of participating nodes teleport "
+            "after exponential dwell times (arrival/departure churn; defer "
+            "TTL 5 s)");
+  EXPECT_EQ(reg.at("flows_50").description,
+            "50 concurrent best-PRR flows on a canonical 100-node building "
+            "(MAC decision stress; TestbedCache-resolved)");
+}
+
 TEST(Registry, NamesAreSortedAndMatchSize) {
   const auto& reg = ScenarioRegistry::global();
   const auto names = reg.names();

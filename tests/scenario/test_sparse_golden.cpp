@@ -1,17 +1,18 @@
-// Golden-report exactness of the sparse link-state stores: every builtin
-// scenario swept on its prescribed building must produce a report
-// BYTE-identical whether the building uses the dense O(n^2) pair state
-// (LinkStateMode::kDenseCached + MeasurementStore::kDense) or the sparse
-// spatially-indexed one (kSparse + kSparse). This is what licenses the
-// sparse representation: the spatial grid, the culled link rows, and the
-// lazy measurement memo are an *indexing* of the same pair state, not an
-// approximation — any divergence in any gain, PRR, topology draw, or
-// delivery would cascade into different timings and therefore different
-// report bytes. Mirrors test_mac_decide_golden.cpp (the MAC decision fast
-// path's equivalent guarantee).
+// Golden-report exactness of the sparse medium: every builtin scenario
+// swept on its prescribed building must produce a report BYTE-identical
+// whether the Medium uses the dense O(n^2) gain cache
+// (LinkStateMode::kDenseCached) or the sparse spatially-indexed link state
+// (LinkStateMode::kSparse). This is what licenses the sparse
+// representation: the spatial grid and the culled link rows are an
+// *indexing* of the same pair state, not an approximation — any divergence
+// in any gain or delivery would cascade into different timings and
+// therefore different report bytes. Mirrors test_mac_decide_golden.cpp
+// (the MAC decision fast path's equivalent guarantee). The Testbed's own
+// pair store has one layout; test_sparse_store.cpp checks it pair by pair
+// against a brute-force measurement.
 //
 // metro_10k is excluded by design: it exists precisely because no dense
-// reference can be materialized at 10^8 directed pairs (bench_metro gates
+// medium can be materialized at 10^8 directed pairs (bench_metro gates
 // its sparse peak RSS instead). Every other scenario — including the
 // mobility family, whose DynamicShadowing channel exercises the sparse
 // medium's watch lists and epoch refresh — runs here.
@@ -37,7 +38,6 @@ std::vector<std::string> golden_scenarios() {
 
 testbed::TestbedConfig sparse_variant(testbed::TestbedConfig cfg) {
   cfg.medium.link_state = phy::LinkStateMode::kSparse;
-  cfg.measurement.store = testbed::MeasurementStore::kSparse;
   return cfg;
 }
 

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace cmap::testbed {
 namespace {
 
@@ -86,6 +88,42 @@ TEST(TestbedDeathTest, OverDenseFloorFailsFastWithAClearError) {
   cfg.width_m = 5.0;
   cfg.height_m = 5.0;
   EXPECT_DEATH(Testbed{cfg}, "too dense");
+}
+
+TEST(TestbedDeathTest, FloorSizeMustBeFiniteAndPositive) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (const double bad : {-70.0, 0.0, std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    TestbedConfig wide;
+    wide.width_m = bad;
+    EXPECT_DEATH(Testbed{wide}, "width_m must be finite and positive") << bad;
+    TestbedConfig tall;
+    tall.height_m = bad;
+    EXPECT_DEATH(Testbed{tall}, "height_m must be finite and positive") << bad;
+  }
+}
+
+TEST(TestbedDeathTest, NodeCountMustLieInRange) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (const int bad : {-5, 0, (1 << 20) + 1}) {
+    TestbedConfig cfg;
+    cfg.num_nodes = bad;
+    EXPECT_DEATH(Testbed{cfg}, "num_nodes must lie in \\[1, 2\\^20\\]") << bad;
+  }
+}
+
+TEST(Testbed, HugeFloorPlacesNodesOnABoundedGrid) {
+  // Past 1024 min-separation cells a side the placement grid coarsens
+  // instead of allocating one cell per 2 m.
+  TestbedConfig cfg;
+  cfg.num_nodes = 3;
+  cfg.width_m = 1e9;
+  cfg.height_m = 1.0;
+  const Testbed tb(cfg);
+  for (phy::NodeId id = 0; id < 3; ++id) {
+    EXPECT_GE(tb.position(id).x, 0.0);
+    EXPECT_LT(tb.position(id).x, cfg.width_m);
+  }
 }
 
 TEST(Testbed, LinkClassesMatchPaperStatistics) {
